@@ -344,17 +344,6 @@ class CellEnumerator:
 
         yield from walk(0, dict(self._center))
 
-    def cells(self, node):
-        """Feasible cells of one term; each cell's values is a 1-tuple."""
-        return list(self.iter_cells([node]))
-
-    def joint_cells(self, nodes):
-        """Cells on which every listed term is simultaneously affine.
-
-        Each cell's values tuple lines up with `nodes`.
-        """
-        return list(self.iter_cells(nodes))
-
     # ---- optimisation ----------------------------------------------------
 
     def optimize_cell(self, cell, objective, maximize=True, extra=(),

@@ -10,20 +10,31 @@ MONUS preserve the property, HALF consumes one factor of two), so the right
 shift in HALF is always exact and the whole evaluation is exact rational
 arithmetic in disguise.
 
-Two interchangeable backends implement the same contract: a Cython extension
-(clog._gridkernel) selected at import when available, and a numpy int64
-fallback.  Set CLOG_FORCE_PY_KERNEL=1 to force the fallback.  Both return the
-first grid point (odometer order, last atom fastest) attaining the maximum.
-"""
+The sweep evaluates every grid point at once on Python ints.  Grid point i,
+in odometer order (last atom fastest), is lane i of one int: the bits
+[i*W, (i+1)*W), where the lane width W is the smallest multiple of 8 above
+S.bit_length().  Every lane value lies in [0, S], so each lane's top bit is a
+spare guard bit, and each instruction acts on all lanes with a few big-int
+operations that never carry or borrow across a lane boundary:
 
-import os
-from array import array
+- NEG subtracts every lane from S;
+- HALF shifts the whole int right by one, which moves no bit between lanes
+  because every lane's low bit is 0 (the scaling argument above);
+- MONUS sets every guard bit before subtracting, so a lane's guard survives
+  exactly where the difference is nonnegative; those lanes keep their low
+  bits (the difference) and the others become 0.
+
+The first grid point attaining the maximum is returned; with
+stop_at_positive, the first grid point with a positive value.
+"""
 
 from . import syntax
 from .rationals import rat
 
 OP_PUSH0, OP_PUSH_ATOM, OP_NEG, OP_HALF, OP_MONUS = range(5)
 
+# These limits decide which formulas the sweep takes (the rest go straight to
+# cell enumeration), and so which countermodel a refutation reports.
 _MAX_STACK = 256
 _MAX_ATOMS = 16
 _MAX_POINTS = 2_000_000
@@ -31,7 +42,7 @@ _MAX_SCALE = 1 << 61
 
 
 class KernelUnsupported(ValueError):
-    """Raised when a formula or grid falls outside the kernel's integer range."""
+    """Raised when a formula or grid falls outside the kernel's limits."""
 
 
 class Program:
@@ -46,8 +57,8 @@ class Program:
 def compile_formula(formula, atom_order):
     """Flatten a propositional formula into bytecode over the given atoms."""
     index = {name: i for i, name in enumerate(atom_order)}
-    codes = array("q")
-    args = array("q")
+    codes = []
+    args = []
     n_half = 0
     max_stack = 0
     depth = 0
@@ -87,62 +98,65 @@ def compile_formula(formula, atom_order):
     return Program(codes, args, len(atom_order), n_half, max_stack)
 
 
-def _py_grid_sup(codes, args, n_atoms, denom, scale, stop_at):
-    """numpy int64 backend; same contract as the compiled grid_sup."""
-    import numpy as np
+def active_backend():
+    """Name of the sweep in use; there is one, in pure Python."""
+    return "python"
 
+
+def _sweep(program, denom, scale, first_positive):
+    """(scaled value, grid index) of the first maximal grid point, or of the
+    first positive one when first_positive and one exists."""
+    n_atoms = program.n_atoms
     side = denom + 1
     total = side**n_atoms
+    lane_bytes = scale.bit_length() // 8 + 1
+    width = 8 * lane_bytes
+    top = width - 1
     unit = scale // denom
-    lin = np.arange(total, dtype=np.int64)
-    atom_vals = []
-    for k in range(n_atoms):
+
+    def lane(value):
+        return value.to_bytes(lane_bytes, "little")
+
+    def column(k):
+        # atom k holds grid level v on runs of `stride` consecutive points
         stride = side ** (n_atoms - 1 - k)
-        atom_vals.append((lin // stride) % side * unit)
+        period = b"".join(lane(v * unit) * stride for v in range(side))
+        return int.from_bytes(period * (total // (side * stride)), "little")
+
+    ones = int.from_bytes(lane(1) * total, "little")
+    full = ones * scale
+    guards = ones << top
+    columns = {}
     stack = []
-    for op, arg in zip(codes, args):
+    for op, arg in zip(program.codes, program.args):
         if op == OP_PUSH0:
-            stack.append(np.zeros(total, dtype=np.int64))
+            stack.append(0)
         elif op == OP_PUSH_ATOM:
-            stack.append(atom_vals[arg].copy())
+            if arg not in columns:
+                columns[arg] = column(arg)
+            stack.append(columns[arg])
         elif op == OP_NEG:
-            stack[-1] = scale - stack[-1]
+            stack[-1] = full - stack[-1]
         elif op == OP_HALF:
             stack[-1] >>= 1
         else:
             b = stack.pop()
-            stack[-1] = np.maximum(stack[-1] - b, 0)
+            d = (stack[-1] | guards) - b
+            g = d & guards
+            stack[-1] = d & (g - (g >> top))
     values = stack[0]
-    reached = values >= stop_at
-    pos = int(reached.argmax()) if reached.any() else int(values.argmax())
-    best = int(values[pos])
-    point = []
-    for k in range(n_atoms):
-        stride = side ** (n_atoms - 1 - k)
-        point.append((pos // stride) % side)
-    return best, point
-
-
-try:
-    if os.environ.get("CLOG_FORCE_PY_KERNEL"):
-        raise ImportError
-    from . import _gridkernel as _compiled
-except ImportError:
-    _compiled = None
-
-
-def active_backend():
-    return "compiled" if _compiled is not None else "python"
-
-
-def _dispatch(program, denom, scale, stop_at):
-    if _compiled is not None:
-        return _compiled.grid_sup(
-            program.codes, program.args, program.n_atoms, denom, scale, stop_at
-        )
-    return _py_grid_sup(
-        program.codes, program.args, program.n_atoms, denom, scale, stop_at
-    )
+    if not values:
+        return 0, 0
+    if first_positive:
+        pos = ((values & -values).bit_length() - 1) // width
+        return (values >> (pos * width)) & ((1 << width) - 1), pos
+    raw = values.to_bytes(total * lane_bytes, "little")
+    decoded = [
+        int.from_bytes(raw[i:i + lane_bytes], "little")
+        for i in range(0, len(raw), lane_bytes)
+    ]
+    best = max(decoded)
+    return best, decoded.index(best)
 
 
 def grid_max(formula, atom_order, denom, stop_at_positive=False):
@@ -162,8 +176,15 @@ def grid_max(formula, atom_order, denom, stop_at_positive=False):
         raise KernelUnsupported("grid too large")
     scale = denom << program.n_half
     if scale > _MAX_SCALE:
-        raise KernelUnsupported("too many halvings for int64 scaling")
-    stop_at = 1 if stop_at_positive else scale + 1
-    best, point = _dispatch(program, denom, scale, stop_at)
-    assignment = {name: rat(point[i], denom) for i, name in enumerate(atom_order)}
+        raise KernelUnsupported("too many halvings for the grid kernel")
+    best, pos = _sweep(program, denom, scale, stop_at_positive)
+    side = denom + 1
+    point = []
+    for _ in atom_order:
+        pos, level = divmod(pos, side)
+        point.append(level)
+    point.reverse()
+    assignment = {
+        name: rat(level, denom) for name, level in zip(atom_order, point)
+    }
     return rat(best, scale), assignment

@@ -36,6 +36,37 @@ def _tuples(universe, arity):
     return itertools.product(universe, repeat=arity)
 
 
+def _lipschitz_slacks(structure):
+    """Every table's modulus slack, one argument slot changed at a time.
+
+    Yields (kind, name, slot, key, swapped, slack), kind being "predicate"
+    or "function": swapped is key with slot changed, and slack is the gap
+    between the two table values (a distance, for a function) minus the
+    slot's Lipschitz constant times the distance between the changed
+    arguments.  The table is within its modulus there iff slack <= 0.
+    """
+    sig = structure.signature
+    metric = structure.metric
+    for kind, moduli, tables in (
+        ("predicate", sig.predicates, structure.predicates),
+        ("function", sig.functions, structure.functions),
+    ):
+        for name, lam in moduli.items():
+            table = tables[name]
+            for slot, bound in enumerate(lam):
+                for key in _tuples(structure.universe, len(lam)):
+                    for other in structure.universe:
+                        if other == key[slot]:
+                            continue  # slack 0: no gap, no distance
+                        swapped = key[:slot] + (other,) + key[slot + 1:]
+                        if kind == "predicate":
+                            gap = abs(table[key] - table[swapped])
+                        else:
+                            gap = metric[table[key], table[swapped]]
+                        slack = gap - bound * metric[key[slot], other]
+                        yield kind, name, slot, key, swapped, slack
+
+
 class FiniteLStructure:
     """A finite metric structure: rational predicate tables, total function
     tables, and an exact metric, all validated against the signature's
@@ -124,30 +155,12 @@ class FiniteLStructure:
 
     def _check_lipschitz(self):
         """Exhaustive modulus check: vary one argument slot at a time."""
-        for name, lam in self.signature.predicates.items():
-            table = self.predicates[name]
-            for slot, bound in enumerate(lam):
-                for key in _tuples(self.universe, len(lam)):
-                    for other in self.universe:
-                        swapped = key[:slot] + (other,) + key[slot + 1:]
-                        gap = abs(table[key] - table[swapped])
-                        if gap > bound * self.metric[key[slot], other]:
-                            raise ValueError(
-                                "predicate %r violates its modulus in slot %d "
-                                "between %r and %r" % (name, slot, key, swapped)
-                            )
-        for name, lam in self.signature.functions.items():
-            table = self.functions[name]
-            for slot, bound in enumerate(lam):
-                for key in _tuples(self.universe, len(lam)):
-                    for other in self.universe:
-                        swapped = key[:slot] + (other,) + key[slot + 1:]
-                        gap = self.metric[table[key], table[swapped]]
-                        if gap > bound * self.metric[key[slot], other]:
-                            raise ValueError(
-                                "function %r violates its modulus in slot %d "
-                                "between %r and %r" % (name, slot, key, swapped)
-                            )
+        for kind, name, slot, key, swapped, slack in _lipschitz_slacks(self):
+            if slack > 0:
+                raise ValueError(
+                    "%s %r violates its modulus in slot %d between %r and %r"
+                    % (kind, name, slot, key, swapped)
+                )
 
     # ---- evaluation ------------------------------------------------------
 
@@ -468,29 +481,11 @@ def check_R_axioms(family, sections):
         if sec.family != family:
             raise ValueError("sample section from a different family")
 
-    r1_pred = ZERO
-    r1_func = ZERO
+    r1 = {"predicate": ZERO, "function": ZERO}
     for s in family.structures:
-        for name, lam in family.signature.predicates.items():
-            table = s.predicates[name]
-            for slot, bound in enumerate(lam):
-                for key in _tuples(s.universe, len(lam)):
-                    for other in s.universe:
-                        swapped = key[:slot] + (other,) + key[slot + 1:]
-                        gap = abs(table[key] - table[swapped])
-                        slack = gap - bound * s.metric[key[slot], other]
-                        if slack > r1_pred:
-                            r1_pred = slack
-        for name, lam in family.signature.functions.items():
-            table = s.functions[name]
-            for slot, bound in enumerate(lam):
-                for key in _tuples(s.universe, len(lam)):
-                    for other in s.universe:
-                        swapped = key[:slot] + (other,) + key[slot + 1:]
-                        gap = s.metric[table[key], table[swapped]]
-                        slack = gap - bound * s.metric[key[slot], other]
-                        if slack > r1_func:
-                            r1_func = slack
+        for kind, _, _, _, _, slack in _lipschitz_slacks(s):
+            if slack > r1[kind]:
+                r1[kind] = slack
 
     r2 = ZERO
     weights = family.space.weights
@@ -520,7 +515,9 @@ def check_R_axioms(family, sections):
                     gap = s.metric[av, cv] if atom in ev else s.metric[bv, cv]
                     if gap > r3:
                         r3 = gap
-    return {"R1_P": r1_pred, "R1_f": r1_func, "R2": r2, "R3": r3}
+    return {
+        "R1_P": r1["predicate"], "R1_f": r1["function"], "R2": r2, "R3": r3,
+    }
 
 
 def inf_witness(phi, var, env, family, epsilon=ZERO):

@@ -52,10 +52,5 @@ def format_rat(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def as_fraction(x):
-    # rebuild from plain ints: Fraction(mpq) would smuggle mpz components in
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
 def is_unit_interval(x):
     return 0 <= x <= 1

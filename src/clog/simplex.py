@@ -170,9 +170,3 @@ def solve_lp(n_vars, constraints, objective=None, maximize=True,
         return LPResult(UNBOUNDED)
     value = obj if maximize else -obj
     return LPResult(status, value, extract_point())
-
-
-def find_feasible_point(n_vars, constraints):
-    """A feasible point of {x >= 0 : constraints}, or None."""
-    res = solve_lp(n_vars, constraints, objective=None)
-    return res.point if res.status == OPTIMAL else None

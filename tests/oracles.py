@@ -2,9 +2,9 @@
 
 Everything here is deliberately the dumbest exact method available: plain
 Fraction recursion and exhaustive grid search.  The package's decision
-procedures (branch enumeration + rational LP, int64 grid kernel) must agree
-with these on the frozen fixtures; nothing here imports the modules under
-test.
+procedures (branch enumeration + rational LP, the integer grid sweep) must
+agree with these on the frozen fixtures; nothing here imports the modules
+under test.
 """
 
 import itertools
@@ -57,6 +57,22 @@ def grid_sup_fractions(formula, atoms, denom):
         best = eval_fraction(formula, {})
         witness = {}
     return best, witness
+
+
+def grid_first_positive(formula, atoms, denom):
+    """The first grid point in odometer order with a positive value, pure
+    Fraction: (value, assignment), or (0, the first point) if there is none.
+    """
+    levels = [Fraction(k, denom) for k in range(denom + 1)]
+    first = None
+    for point in itertools.product(levels, repeat=len(atoms)):
+        assignment = dict(zip(atoms, point))
+        v = eval_fraction(formula, assignment)
+        if v > 0:
+            return v, assignment
+        if first is None:
+            first = assignment
+    return Fraction(0), first
 
 
 def grid_valid(formula, denom):

@@ -1,6 +1,12 @@
 """End-to-end checks of the command line: exact report bytes and exit codes."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +16,8 @@ from clog.rationals import rat
 from clog.syntax import Signature
 
 import test_randomisation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -243,6 +251,23 @@ def test_rand_eval_golden(capsys, tmp_path):
     assert out == '{"cmd":"rand eval","status":"ok","values":["1/4","0/1"]}\n'
 
 
+def test_readme_family_example(capsys, tmp_path):
+    """The README's random-family example loads exactly as printed, and the
+    command shown under it prints the line shown under it."""
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    command, expected = re.search(
+        r"^\$ clog (rand eval family\.json .*)\n(.*)$", readme, re.M
+    ).groups()
+    path = tmp_path / "family.json"
+    path.write_text(example)
+    argv = shlex.split(command)
+    argv[argv.index("family.json")] = str(path)
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    assert out == expected + "\n"
+
+
 def test_rand_axioms(capsys, tmp_path):
     paths = write_fixtures(tmp_path)
     rc, out = run(
@@ -412,3 +437,24 @@ def test_reports_start_with_cmd_and_status(capsys, tmp_path):
         assert list(report)[:2] == ["cmd", "status"]
         assert report["status"] in ("ok", "fail", "infeasible")
         assert (run_rc == 0) == (report["status"] == "ok")
+
+
+def test_valid_imports_only_the_standard_library():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from clog.cli import main\n"
+        "main(['valid', '-e', 'p'])\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'clog', 'gmpy2'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines() == [
+        '{"cmd":"valid","status":"fail","valid":false,'
+        '"countermodel":{"p":"1/8"},"value":"1/8"}',
+        "[]",
+    ]

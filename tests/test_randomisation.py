@@ -197,6 +197,41 @@ def test_lipschitz_enforced_at_load():
         )
 
 
+def test_modulus_violation_texts_and_residuals():
+    """The load-time check and R1 in check_R_axioms read the same slacks:
+    the first violation names its slot, and R1 is the largest slack."""
+    sig = Signature(functions={"f": [rat(1)]}, predicates={"P": [rat(1)]})
+    metric = [[0, rat(1, 8), 1], [rat(1, 8), 0, 1], [1, 1, 0]]
+    flat = {("u",): 0, ("v",): 0, ("w",): 0}
+    with pytest.raises(ValueError) as err:
+        rd.FiniteLStructure(sig, ["u", "v", "w"],
+                            predicates={"P": {("u",): 0, ("v",): rat(1, 2),
+                                              ("w",): 0}},
+                            functions={"f": {("u",): "u", ("v",): "w",
+                                             ("w",): "w"}},
+                            metric=metric)
+    assert str(err.value) == (
+        "predicate 'P' violates its modulus in slot 0 between ('u',) and ('v',)")
+    with pytest.raises(ValueError) as err:
+        rd.FiniteLStructure(sig, ["u", "v", "w"], predicates={"P": flat},
+                            functions={"f": {("u",): "u", ("v",): "w",
+                                             ("w",): "w"}},
+                            metric=metric)
+    assert str(err.value) == (
+        "function 'f' violates its modulus in slot 0 between ('u',) and ('v',)")
+    # tables altered after the load-time check: R1 reports the worst slack
+    ok = rd.FiniteLStructure(sig, ["u", "v", "w"], predicates={"P": flat},
+                             functions={"f": {k: k[0] for k in flat}},
+                             metric=metric)
+    ok.predicates["P"][("v",)] = rat(1, 2)
+    ok.functions["f"][("v",)] = "w"
+    fam = rd.RandomFamily(FiniteProbSpace.uniform(["w1"]), [ok])
+    secs = [rd.Section(fam, ["u"]), rd.Section(fam, ["w"])]
+    report = rd.check_R_axioms(fam, secs)
+    assert report["R1_P"] == rat(3, 8)
+    assert report["R1_f"] == rat(7, 8)
+
+
 def test_function_tables_and_terms():
     sig = Signature(functions={"f": [rat(2)]}, predicates={"P": [rat(1)]})
     m = rd.FiniteLStructure(
