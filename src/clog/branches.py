@@ -135,25 +135,6 @@ class PLAbs:
         self.body = body
 
 
-def split_count(node, _seen=None):
-    """Distinct branching nodes reachable from node (counts shared ones once)."""
-    seen = _seen if _seen is not None else set()
-
-    def walk(n):
-        if id(n) in seen:
-            return 0
-        seen.add(id(n))
-        if isinstance(n, PLAffine):
-            return 0
-        if isinstance(n, PLComb):
-            return sum(walk(t) for _, t in n.terms)
-        if isinstance(n, PLAbs):
-            return 1 + walk(n.body)
-        return 1 + walk(n.left) + walk(n.right)
-
-    return walk(node)
-
-
 class Cell:
     """A polytope (within the unit box) on which the term is one affine."""
 

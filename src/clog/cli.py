@@ -3,9 +3,10 @@
 Every operation is a subcommand printing a single-line JSON report:
 {"cmd": <subcommand echo>, "status": "ok"|"fail"|"infeasible", ...payload}.
 Exit code is 0 exactly when the status is "ok"; domain errors (bad files,
-unparsable formulas, module ValueErrors) exit 1 with an "error" field, and
-usage errors exit 2 via argparse.  Rationals are printed reduced as "p/q"
-with an explicit positive denominator so reports are byte-stable.
+unparsable formulas, module ValueErrors, first-order formulas nested deeper
+than Python's stack) exit 1 with an "error" field, and usage errors exit 2
+via argparse.  Rationals are printed reduced as "p/q" with an explicit
+positive denominator so reports are byte-stable.
 
 Commands that assert a property (valid, sat, entail, check-proof, rand los,
 hall, ...) report status "ok" when the property holds and "fail" (or
@@ -24,6 +25,8 @@ from . import proofs, randomisation, rv, semantics, syntax
 from .rationals import ZERO, format_rat, parse_rat, rat
 
 DEFAULT_BRANCH_BUDGET = 24
+# rv tauphi loops 2^n times at stage n; 16 takes a few seconds
+MAX_TAUPHI_STAGE = 16
 
 
 def _budget():
@@ -40,6 +43,14 @@ def _budget():
     except ValueError:
         raise ValueError("CLOG_BRANCH_BUDGET must be an integer, got %r" % text)
     return value if value > 0 else None
+
+
+def _nonnegative_int(text):
+    """argparse type for counts and caps: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
 
 
 def _fmt(x):
@@ -250,6 +261,9 @@ def _cmd_rv_condexp(args, parser):
 
 
 def _cmd_rv_tauphi(args, parser):
+    if args.n > MAX_TAUPHI_STAGE:
+        raise ValueError(
+            "--n is at most %d (the stage loops 2^n times)" % MAX_TAUPHI_STAGE)
     f = rv.rv_from_json(_load_json(args.rv))
     event = _parse_event(args.event)
     phi = rv.tau_phi_interpretation(f.space, f, args.n, event)
@@ -402,13 +416,13 @@ def _build_parser():
     p.add_argument("--goal", required=True, metavar="FORMULA")
     p.add_argument("--witness", action="store_true",
                    help="also search for the finite witness m")
-    p.add_argument("--cap", type=int, default=semantics.DEFAULT_WITNESS_CAP)
+    p.add_argument("--cap", type=_nonnegative_int, default=semantics.DEFAULT_WITNESS_CAP)
     p.set_defaults(handler=_cmd_entail, echo="entail")
 
     p = sub.add_parser("unsat-witness",
                        help="smallest n certifying the premises unsatisfiable")
     p.add_argument("--premise", action="append", metavar="FORMULA")
-    p.add_argument("--cap", type=int, default=semantics.DEFAULT_WITNESS_CAP)
+    p.add_argument("--cap", type=_nonnegative_int, default=semantics.DEFAULT_WITNESS_CAP)
     p.set_defaults(handler=_cmd_unsat_witness, echo="unsat-witness")
 
     p = sub.add_parser("check-proof", help="check a proof file")
@@ -419,7 +433,7 @@ def _build_parser():
     p = sub.add_parser("find-proof", help="search for a proof of the goal")
     _formula_arg(p)
     p.add_argument("--premise", action="append", metavar="FORMULA")
-    p.add_argument("--depth", type=int, default=20,
+    p.add_argument("--depth", type=_nonnegative_int, default=20,
                    help="largest proof length to consider")
     p.set_defaults(handler=_cmd_find_proof, echo="find-proof")
 
@@ -462,7 +476,8 @@ def _build_parser():
     p = rv_sub.add_parser("tauphi",
                           help="staged integral approximation over an event")
     p.add_argument("rv", help="random variable JSON file")
-    p.add_argument("--n", type=int, required=True, help="stage (>= 1)")
+    p.add_argument("--n", type=int, required=True,
+                   help="stage (1 to %d)" % MAX_TAUPHI_STAGE)
     p.add_argument("--event", required=True, metavar="ATOMS",
                    help="event, comma-separated atom ids")
     p.set_defaults(handler=_cmd_rv_tauphi, echo="rv tauphi")
@@ -540,7 +555,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         status, payload = args.handler(args, parser)
-    except (ValueError, KeyError, TypeError, OSError) as e:
+    except (ValueError, KeyError, TypeError, OSError, RecursionError) as e:
         report = {"cmd": args.echo, "status": "fail", "error": _error_text(e)}
         print(json.dumps(report, separators=(",", ":")))
         return 1

@@ -28,6 +28,8 @@ The first grid point attaining the maximum is returned; with
 stop_at_positive, the first grid point with a positive value.
 """
 
+from collections import namedtuple
+
 from . import syntax
 from .rationals import rat
 
@@ -45,13 +47,7 @@ class KernelUnsupported(ValueError):
     """Raised when a formula or grid falls outside the kernel's limits."""
 
 
-class Program:
-    def __init__(self, codes, args, n_atoms, n_half, max_stack):
-        self.codes = codes
-        self.args = args
-        self.n_atoms = n_atoms
-        self.n_half = n_half
-        self.max_stack = max_stack
+Program = namedtuple("Program", "codes args n_atoms n_half max_stack")
 
 
 def compile_formula(formula, atom_order):
@@ -59,42 +55,34 @@ def compile_formula(formula, atom_order):
     index = {name: i for i, name in enumerate(atom_order)}
     codes = []
     args = []
-    n_half = 0
-    max_stack = 0
-    depth = 0
-
-    def emit(op, arg=0):
-        codes.append(op)
-        args.append(arg)
-
-    def walk(f):
-        nonlocal n_half, max_stack, depth
-        if isinstance(f, syntax.Const0):
-            emit(OP_PUSH0)
+    depth = max_stack = 0
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        t = type(f)
+        if t is int:  # an opcode pushed after its operands' nodes
+            codes.append(f)
+            args.append(0)
+            if f == OP_MONUS:
+                depth -= 1
+        elif t is syntax.Monus:
+            stack += (OP_MONUS, f.right, f.left)
+        elif t is syntax.Neg or t is syntax.Half:
+            stack += (OP_NEG if t is syntax.Neg else OP_HALF, f.body)
+        elif t is syntax.Const0 or t is syntax.Atom:
+            if t is syntax.Const0:
+                codes.append(OP_PUSH0)
+                args.append(0)
+            elif f.name in index:
+                codes.append(OP_PUSH_ATOM)
+                args.append(index[f.name])
+            else:
+                raise KeyError("atom %r not in atom order" % f.name)
             depth += 1
-        elif isinstance(f, syntax.Atom):
-            try:
-                emit(OP_PUSH_ATOM, index[f.name])
-            except KeyError:
-                raise KeyError("atom %r not in atom order" % f.name) from None
-            depth += 1
-        elif isinstance(f, syntax.Neg):
-            walk(f.body)
-            emit(OP_NEG)
-        elif isinstance(f, syntax.Half):
-            walk(f.body)
-            emit(OP_HALF)
-            n_half += 1
-        elif isinstance(f, syntax.Monus):
-            walk(f.left)
-            walk(f.right)
-            emit(OP_MONUS)
-            depth -= 1
+            max_stack = max(max_stack, depth)
         else:
             raise TypeError("not a propositional formula: %r" % (f,))
-        max_stack = max(max_stack, depth)
-
-    walk(formula)
+    n_half = codes.count(OP_HALF)
     return Program(codes, args, len(atom_order), n_half, max_stack)
 
 

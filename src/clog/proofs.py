@@ -160,39 +160,6 @@ class HalfElimResult:
         self.fresh = fresh
 
 
-def _replace_everywhere(formula, target, replacement):
-    memo = {}
-
-    def walk(f):
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if f == target:
-            out = replacement
-        elif isinstance(f, Neg):
-            out = Neg(walk(f.body))
-        elif isinstance(f, Half):
-            out = Half(walk(f.body))
-        elif isinstance(f, Monus):
-            out = Monus(walk(f.left), walk(f.right))
-        else:
-            out = f
-        memo[f] = out
-        return out
-
-    return walk(formula)
-
-
-def _innermost_half(formulas):
-    """First Half subformula (scanning formulas in order, children first)
-    whose body contains no Half; None when the set is Half-free."""
-    for f in formulas:
-        for sub in syntax.subformulas(f):  # children come first
-            if isinstance(sub, Half):
-                return sub
-    return None
-
-
 def eliminate_half(sigma, goal):
     """Rewrite the premises and goal without Half, using fresh atoms.
 
@@ -203,26 +170,28 @@ def eliminate_half(sigma, goal):
     unique extension to the fresh atoms satisfies the results.
     """
     formulas = list(sigma) + [goal]
-    for f in formulas:
-        if not syntax.is_propositional(f):
-            raise TypeError("premises and goal must be propositional")
-    used = set()
-    for f in formulas:
-        used.update(syntax.atom_names(f))
+    if not syntax.is_propositional(*formulas):
+        raise TypeError("premises and goal must be propositional")
+    used = set(syntax.atom_names(*formulas))
     fresh = {}
     companions = []
     counter = 0
     while True:
-        target = _innermost_half(formulas)
-        if target is None:
+        # the first Half in subformula order has a Half-free body
+        nodes, pos = syntax.subformulas(*formulas)
+        at = next((p for p, f in enumerate(nodes) if type(f) is Half), None)
+        if at is None:
             break
+        target = nodes[at]
         while "Q%d" % counter in used:
             counter += 1
         name = "Q%d" % counter
         used.add(name)
         q = Atom(name)
         fresh[name] = target
-        formulas = [_replace_everywhere(f, target, q) for f in formulas]
+        formulas = syntax.rebuild(
+            formulas, pos, lambda f, p: q if p == at else None
+        )
         body = target.body  # Half-free, so the companions are too
         companions.append(monus_chain(body, 2, q))
         companions.append(Monus(q, Monus(body, q)))
@@ -261,6 +230,8 @@ def find_proof(goal, premises=(), depth=20):
     if not syntax.is_propositional(goal):
         raise TypeError("goal must be a propositional formula")
     premises = list(premises)
+    if not syntax.is_propositional(*premises):
+        raise TypeError("premises must be propositional formulas")
     lines = []
     index_of = {}
     monus_by_right = {}
@@ -281,17 +252,9 @@ def find_proof(goal, premises=(), depth=20):
         return k
 
     for k, p in enumerate(premises):
-        if not syntax.is_propositional(p):
-            raise TypeError("premises must be propositional formulas")
         add_line(p, ("premise", k))
 
-    pool = []
-    seen = set()
-    for f in [goal] + premises:
-        for sub in syntax.subformulas(f):
-            if sub not in seen:
-                seen.add(sub)
-                pool.append(sub)
+    pool = syntax.subformulas(goal, *premises)[0]
     pool.sort(key=lambda f: (len(print_formula(f)), print_formula(f)))
     pool = pool[:_SEED_POOL]
 

@@ -29,6 +29,7 @@ from .syntax import (
     Sup,
     Var,
     free_variables,
+    term_variables,
 )
 
 
@@ -283,8 +284,8 @@ def _check_env(env, family):
             raise ValueError("section %r belongs to a different family" % (name,))
 
 
-def _require_bound(phi, env):
-    missing = sorted(free_variables(phi) - set(env))
+def _require_bound(free, env):
+    missing = sorted(free - set(env))
     if missing:
         raise KeyError("unbound variables: %s" % ", ".join(missing))
 
@@ -294,7 +295,7 @@ def bracket(phi, env, family):
     that atom's structure with quantifiers over its universe."""
     family.signature.validate_formula(phi)
     _check_env(env, family)
-    _require_bound(phi, env)
+    _require_bound(free_variables(phi), env)
     values = []
     for i, s in enumerate(family.structures):
         binding = {name: sec.values[i] for name, sec in env.items()}
@@ -313,35 +314,23 @@ def all_sections(family):
 
 
 def _scan(phi):
-    """Per node of the formula DAG: its free variables (as a frozenset and
-    as a sorted tuple) and the largest number of `half` nodes on a path from
-    it down to a leaf.  Keyed by id, since hashing a node hashes its whole
-    subtree; phi keeps every node alive while the keys are in use."""
-    facts = {}
+    """Per position of syntax.subformulas(phi): the subformula's free
+    variables (as a frozenset and as a sorted tuple) and the largest number
+    of `half` nodes on a path from it down to a leaf; and the positions."""
 
-    def walk(f):
-        got = facts.get(id(f))
-        if got is not None:
-            return got
-        if isinstance(f, Pred):
-            free, halvings = frozenset(free_variables(f)), 0
-        elif isinstance(f, (Inf, Sup)):
-            body = walk(f.body)
-            free, halvings = body[0] - {f.var}, body[2]
-        elif isinstance(f, (Neg, Half)):
-            body = walk(f.body)
-            free, halvings = body[0], body[2] + isinstance(f, Half)
-        elif isinstance(f, Monus):
-            left, right = walk(f.left), walk(f.right)
-            free, halvings = left[0] | right[0], max(left[2], right[2])
-        else:
-            free, halvings = frozenset(), 0
-        got = facts[id(f)] = (free, tuple(sorted(free)), halvings)
-        return got
+    def facts(free, halvings):
+        return free, tuple(sorted(free)), halvings
 
-    walk(phi)
-    del walk  # break the closure's cycle through itself, as below
-    return facts
+    return syntax.fold([phi], {
+        Const0: lambda f: facts(frozenset(), 0),
+        Atom: lambda f: facts(frozenset(), 0),
+        Pred: lambda f: facts(term_variables(*f.args), 0),
+        Neg: lambda f, body: body,
+        Half: lambda f, body: facts(body[0], body[2] + 1),
+        Monus: lambda f, l, r: facts(l[0] | r[0], max(l[2], r[2])),
+        Inf: lambda f, body: facts(body[0] - {f.var}, body[2]),
+        Sup: lambda f, body: facts(body[0] - {f.var}, body[2]),
+    })
 
 
 def bracket_by_sections(phi, env, family):
@@ -365,17 +354,17 @@ def bracket_by_sections(phi, env, family):
     """
     family.signature.validate_formula(phi)
     _check_env(env, family)
-    _require_bound(phi, env)
+    facts, pos = _scan(phi)
+    _require_bound(facts[-1][0], env)
     structures = family.structures
     n = len(structures)
-    facts = _scan(phi)
     exact = {METRIC_SYMBOL: [s.metric for s in structures]}
     for name in family.signature.predicates:
         exact[name] = [s.predicates[name] for s in structures]
     denominators = {
         int(v.denominator) for ts in exact.values() for t in ts for v in t.values()
     }
-    scale = math.lcm(*denominators) << facts[id(phi)][2]
+    scale = math.lcm(*denominators) << facts[-1][2]
     tables = {
         name: [
             {k: int(v.numerator) * (scale // int(v.denominator)) for k, v in t.items()}
@@ -397,10 +386,11 @@ def bracket_by_sections(phi, env, family):
         return tuple(s.functions[t.func][k] for s, k in zip(structures, keys))
 
     def walk(f, env, bound):
-        free, names, _ = facts[id(f)]
+        p = pos[id(f)]
+        free, names, _ = facts[p]
         key = None
         if not bound <= free:
-            key = (id(f),) + tuple(env[v] for v in names)
+            key = (p,) + tuple(env[v] for v in names)
             got = memo.get(key)
             if got is not None:
                 return got
@@ -529,9 +519,7 @@ def inf_witness(phi, var, env, family, epsilon=ZERO):
         raise ValueError("epsilon must be >= 0")
     family.signature.validate_formula(phi)
     _check_env(env, family)
-    missing = sorted(free_variables(phi) - set(env) - {var})
-    if missing:
-        raise KeyError("unbound variables: %s" % ", ".join(missing))
+    _require_bound(free_variables(phi) - {var}, env)
     values = []
     for i, s in enumerate(family.structures):
         binding = {name: sec.values[i] for name, sec in env.items()}

@@ -36,6 +36,8 @@ HALF = rat(1, 2)
 
 def parse_rat(text):
     """Parse 'p/q' (or a bare integer string) into an exact rational."""
+    if not isinstance(text, str):
+        raise ValueError("rationals are written as 'p/q' strings, got %r" % (text,))
     s = text.strip()
     if "/" in s:
         p, q = s.split("/", 1)

@@ -161,35 +161,21 @@ def rv_eval(term, env, space):
     for name, x in env.items():
         if x.space != space:
             raise ValueError("env entry %r lives on a different space" % (name,))
-    n = len(space)
-    memo = {}
 
-    def walk(f):
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, syntax.Const0):
-            out = (ZERO,) * n
-        elif isinstance(f, Atom):
-            try:
-                out = env[f.name].values
-            except KeyError:
-                raise KeyError("unbound variable %r" % (f.name,)) from None
-        elif isinstance(f, Neg):
-            out = tuple(ONE - v for v in walk(f.body))
-        elif isinstance(f, Half):
-            out = tuple(v * HALF for v in walk(f.body))
-        elif isinstance(f, Monus):
-            out = tuple(
-                a - b if a > b else ZERO
-                for a, b in zip(walk(f.left), walk(f.right))
-            )
-        else:
-            raise TypeError("not a propositional formula: %r" % (f,))
-        memo[f] = out
-        return out
+    def atom(f):
+        try:
+            return env[f.name].values
+        except KeyError:
+            raise KeyError("unbound variable %r" % (f.name,)) from None
 
-    return RandomVariable(space, walk(term))
+    values, _ = syntax.fold([term], {
+        syntax.Const0: lambda f: (ZERO,) * len(space),
+        Atom: atom,
+        Neg: lambda f, v: tuple(ONE - x for x in v),
+        Half: lambda f, v: tuple(x * HALF for x in v),
+        Monus: lambda f, a, b: tuple(x - y if x > y else ZERO for x, y in zip(a, b)),
+    })
+    return RandomVariable(space, values[-1])
 
 
 # --- axiom residuals ------------------------------------------------------------

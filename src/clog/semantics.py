@@ -13,7 +13,7 @@ a goal iff every assignment making all premises 0 makes the goal 0.
 """
 
 from . import syntax
-from .branches import Affine, CellEnumerator, PLAffine, PLComb, PLMonus, split_count
+from .branches import Affine, CellEnumerator, PLAffine, PLComb, PLMonus
 from .kernel import KernelUnsupported, grid_max
 from .rationals import ZERO, ONE, HALF, rat, is_unit_interval
 
@@ -30,79 +30,45 @@ def evaluate(formula, assignment):
     neg is 1-x, half is x/2, and (a - b) is truncated subtraction
     max(0, a-b); values of atoms must lie in [0,1].
     """
-    memo = {}
 
-    def walk(f):
-        v = memo.get(f)
-        if v is not None:
-            return v
-        if isinstance(f, syntax.Const0):
-            v = ZERO
-        elif isinstance(f, syntax.Atom):
-            v = rat(assignment[f.name])
-            if not is_unit_interval(v):
-                raise ValueError("atom %r outside [0,1]: %s" % (f.name, v))
-        elif isinstance(f, syntax.Neg):
-            v = ONE - walk(f.body)
-        elif isinstance(f, syntax.Half):
-            v = walk(f.body) * HALF
-        elif isinstance(f, syntax.Monus):
-            v = walk(f.left) - walk(f.right)
-            if v < 0:
-                v = ZERO
-        else:
-            raise TypeError("not a propositional formula: %r" % (f,))
-        memo[f] = v
+    def atom(f):
+        v = rat(assignment[f.name])
+        if not is_unit_interval(v):
+            raise ValueError("atom %r outside [0,1]: %s" % (f.name, v))
         return v
 
-    return walk(formula)
+    values, _ = syntax.fold([formula], {
+        syntax.Const0: lambda f: ZERO,
+        syntax.Atom: atom,
+        syntax.Neg: lambda f, v: ONE - v,
+        syntax.Half: lambda f, v: v * HALF,
+        syntax.Monus: lambda f, a, b: a - b if a > b else ZERO,
+    })
+    return values[-1]
 
 
 def _formula_ir(formulas):
     """Shared piecewise-linear IR for several formulas (common subformulas
     become the same IR node, so their branches are enumerated once)."""
-    memo = {}
-
-    def build(f):
-        node = memo.get(f)
-        if node is not None:
-            return node
-        if isinstance(f, syntax.Const0):
-            node = PLAffine(Affine.constant(0))
-        elif isinstance(f, syntax.Atom):
-            node = PLAffine(Affine.variable(f.name))
-        elif isinstance(f, syntax.Neg):
-            node = PLComb([(-ONE, build(f.body))], ONE)
-        elif isinstance(f, syntax.Half):
-            node = PLComb([(HALF, build(f.body))], ZERO)
-        elif isinstance(f, syntax.Monus):
-            node = PLMonus(build(f.left), build(f.right))
-        else:
-            raise TypeError("not a propositional formula: %r" % (f,))
-        memo[f] = node
-        return node
-
-    return [build(f) for f in formulas]
+    ir, pos = syntax.fold(formulas, {
+        syntax.Const0: lambda f: PLAffine(Affine.constant(0)),
+        syntax.Atom: lambda f: PLAffine(Affine.variable(f.name)),
+        syntax.Neg: lambda f, v: PLComb([(-ONE, v)], ONE),
+        syntax.Half: lambda f, v: PLComb([(HALF, v)], ZERO),
+        syntax.Monus: lambda f, a, b: PLMonus(a, b),
+    })
+    return [ir[pos[id(f)]] for f in formulas]
 
 
 def check_budget(formulas, budget):
     """Raise BudgetExceeded if the shared Monus-node count exceeds budget."""
     if budget is None:
         return
-    nodes = _formula_ir(list(formulas))
-    seen = set()
-    total = sum(split_count(n, seen) for n in nodes)
+    total = syntax.monus_count(*formulas)
     if total > budget:
         raise BudgetExceeded(
             "formula set has %d branching nodes, budget is %d" % (total, budget)
         )
-
-
-def _atoms_of_all(formulas):
-    names = set()
-    for f in formulas:
-        names.update(syntax.atom_names(f))
-    return sorted(names)
 
 
 def _box_upper_bound(affine):
@@ -126,40 +92,27 @@ def _abstract_shared(formula):
     Only subtraction nodes are replaced; neg and half are affine and
     contribute no branching worth hiding.
     """
-    nodes = syntax.subformulas(formula)
-    occ = dict.fromkeys(nodes, 0)
-    occ[formula] = 1
-    for f in reversed(nodes):  # parents come before children here
-        n = occ[f]
-        if isinstance(f, (syntax.Neg, syntax.Half)):
-            occ[f.body] += n
-        elif isinstance(f, syntax.Monus):
-            occ[f.left] += n
-            occ[f.right] += n
-    fresh = {}
-    memo = {}
+    nodes, pos = syntax.subformulas(formula)
+    occ = [0] * len(nodes)  # occurrences in the formula's tree
+    occ[-1] = 1
+    for p in range(len(nodes) - 1, -1, -1):  # parents before children
+        f, n = nodes[p], occ[p]
+        t = type(f)
+        if t is syntax.Neg or t is syntax.Half:
+            occ[pos[id(f.body)]] += n
+        elif t is syntax.Monus:
+            occ[pos[id(f.left)]] += n
+            occ[pos[id(f.right)]] += n
+    fresh = []
 
-    def rebuild(f):
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, syntax.Monus) and occ[f] >= 2:
-            out = fresh.get(f)
-            if out is None:
-                out = syntax.Atom("#%d" % len(fresh))
-                fresh[f] = out
-        elif isinstance(f, syntax.Neg):
-            out = syntax.Neg(rebuild(f.body))
-        elif isinstance(f, syntax.Half):
-            out = syntax.Half(rebuild(f.body))
-        elif isinstance(f, syntax.Monus):
-            out = syntax.Monus(rebuild(f.left), rebuild(f.right))
-        else:
-            out = f
-        memo[f] = out
-        return out
+    def swap(f, p):
+        if type(f) is syntax.Monus and occ[p] >= 2:
+            fresh.append(syntax.Atom("#%d" % len(fresh)))
+            return fresh[-1]
+        return None
 
-    return rebuild(formula), len(fresh)
+    (skeleton,) = syntax.rebuild([formula], pos, swap)
+    return skeleton, len(fresh)
 
 
 class BranchCell:
@@ -309,11 +262,10 @@ def entails_semantic(premises, goal, budget=None):
     Only finite premise lists are accepted.
     """
     premises = list(premises)
-    for p in premises:
-        if not syntax.is_propositional(p):
-            raise TypeError("premises must be propositional formulas")
+    if not syntax.is_propositional(*premises):
+        raise TypeError("premises must be propositional formulas")
     check_budget(premises + [goal], budget)
-    atoms = _atoms_of_all(premises + [goal])
+    atoms = syntax.atom_names(*premises, goal)
     enum = CellEnumerator(atoms)
     nodes = _formula_ir([goal] + premises)
     for cell in enum.iter_cells(nodes):

@@ -15,7 +15,7 @@ Grammar (leading keywords make it LL(1); binary operators always take
 parentheses):
 
     formula  := "0" | "1" | ident | "neg" formula | "half" formula
-              | "(" formula op formula ")" | "2^-" nat
+              | "(" formula op formula ")" | "2^-" nat (at most 10,000)
               | "|" formula "-" formula "|"
     op       := "-" | "/\\" | "\\/" | "(+)"
     lformula := formula-clauses | "inf" ident "." lformula
@@ -25,6 +25,15 @@ parentheses):
 Identifiers are [a-zA-Z_][a-zA-Z0-9_]*; `neg half inf sup` are reserved.
 The printer emits only core nodes, fully parenthesized, and
 parse(print(f)) == f.
+
+`subformulas` is the one traversal of the formula DAG: it keeps an explicit
+stack and identifies structurally equal subformulas by position, never by
+hashing a node (which hashes its whole subtree); `fold` interprets formulas
+and `rebuild` rewrites them over it.  These, the parser, the printer and
+the bytecode compiler (the last two walk the tree, as large as their
+output) use no Python recursion, so propositional formulas may nest to any
+depth; terms, and the first-order evaluators whose quantifiers re-enter
+their body, still recurse.
 """
 
 from dataclasses import dataclass
@@ -33,6 +42,9 @@ from .rationals import rat
 
 METRIC_SYMBOL = "d"
 KEYWORDS = frozenset(["neg", "half", "inf", "sup"])
+# Largest n the parser takes in 2^-n: each halving is one node, and beyond
+# about 14,000 the value 2^-n no longer prints (Python's int-to-str limit).
+MAX_DYADIC_EXPONENT = 10_000
 
 
 class ParseError(ValueError):
@@ -162,44 +174,139 @@ def times_chain(m, phi):
 
 # --- structural helpers -------------------------------------------------------
 
-def subformulas(formula):
-    """All distinct subformulas, children before parents."""
-    seen = {}
+_PROPOSITIONAL = (Const0, Atom, Neg, Half, Monus)
+
+
+def subformulas(*roots):
+    """The distinct subformulas of the roots, children before parents, in
+    order of first occurrence; and the position in that list of every node
+    object reachable from the roots, keyed by id.
+
+    Structurally equal subformulas share one position: a node is identified
+    by its type, its atom, variable or predicate name (with its printed
+    argument terms) and the positions of its children, so no node is ever
+    hashed or compared.  The walk keeps an explicit stack and visits each
+    node object once, so formulas may nest to any depth.  The ids stay
+    meaningful while the roots are alive.
+    """
     order = []
+    pos = {}
+    index = {}
+    stack = list(reversed(roots))
+    while stack:
+        f = stack[-1]
+        if id(f) in pos:
+            stack.pop()
+            continue
+        t = type(f)
+        if t is Monus:
+            left = pos.get(id(f.left))
+            right = pos.get(id(f.right))
+            if left is None or right is None:
+                stack += (f.right, f.left)
+                continue
+            key = (t, left, right)
+        elif t is Neg or t is Half or t is Inf or t is Sup:
+            body = pos.get(id(f.body))
+            if body is None:
+                stack.append(f.body)
+                continue
+            key = (t, body) if t is Neg or t is Half else (t, f.var, body)
+        elif t is Atom:
+            key = (t, f.name)
+        elif t is Const0:
+            key = t
+        elif t is Pred:
+            key = (t, f.name, tuple(map(print_term, f.args)))
+        else:  # not a formula node: equal only to itself
+            key = (t, id(f))
+        stack.pop()
+        p = index.get(key)
+        if p is None:
+            p = index[key] = len(order)
+            order.append(f)
+        pos[id(f)] = p
+    return order, pos
 
-    def walk(f):
-        if f in seen:
-            return
-        if isinstance(f, (Neg, Half, Inf, Sup)):
-            walk(f.body)
-        elif isinstance(f, Monus):
-            walk(f.left)
-            walk(f.right)
-        seen[f] = True
-        order.append(f)
 
-    walk(formula)
-    return order
+def fold(roots, algebra):
+    """Interpret formulas bottom-up, once per distinct subformula.
+
+    algebra maps a node type to a function of the node and its children's
+    values (body, or left and right).  Returns the value at every position
+    of subformulas(*roots) and that call's positions; a single root's value
+    is the last.  A node whose type the algebra lacks raises TypeError.
+    """
+    nodes, pos = subformulas(*roots)
+    values = []
+    for f in nodes:
+        t = type(f)
+        visit = algebra.get(t)
+        if visit is None:
+            raise TypeError("%s nodes have no meaning here: %r" % (t.__name__, f))
+        if t is Monus:
+            values.append(visit(f, values[pos[id(f.left)]], values[pos[id(f.right)]]))
+        elif t is Neg or t is Half or t is Inf or t is Sup:
+            values.append(visit(f, values[pos[id(f.body)]]))
+        else:
+            values.append(visit(f))
+    return values, pos
 
 
-def atom_names(formula):
-    """Sorted names of the propositional atoms occurring in the formula."""
-    return sorted({f.name for f in subformulas(formula) if isinstance(f, Atom)})
+_OPEN = object()  # a rebuild position whose children are still being rebuilt
 
 
-def monus_count(formula):
-    """Number of distinct truncated-subtraction subformulas.
+def rebuild(roots, pos, swap):
+    """The roots with subformulas swapped out, as a list.
+
+    pos comes from subformulas(*roots), or from a call with more roots.
+    swap(f, p) is asked once for each distinct subformula f reached, p
+    being its position, outermost first and left to right; when it returns
+    a formula, that replaces f and f's own subformulas are not reached.
+    Every other Neg, Half and Monus is rebuilt over its rebuilt children,
+    once per position; other nodes stay as they are.
+    """
+    done = {}
+    stack = list(reversed(roots))
+    while stack:
+        f = stack.pop()
+        p = pos[id(f)]
+        got = done.get(p)
+        t = type(f)
+        if got is _OPEN:  # its children are rebuilt now
+            if t is Monus:
+                got = Monus(done[pos[id(f.left)]], done[pos[id(f.right)]])
+            else:
+                got = t(done[pos[id(f.body)]])
+            done[p] = got
+        elif got is None:
+            got = swap(f, p)
+            if got is not None:
+                done[p] = got
+            elif t is Monus or t is Neg or t is Half:
+                done[p] = _OPEN
+                stack += (f, f.right, f.left) if t is Monus else (f, f.body)
+            else:
+                done[p] = f
+    return [done[pos[id(root)]] for root in roots]
+
+
+def atom_names(*formulas):
+    """Sorted names of the propositional atoms occurring in the formulas."""
+    return sorted({f.name for f in subformulas(*formulas)[0] if type(f) is Atom})
+
+
+def monus_count(*formulas):
+    """Number of distinct truncated-subtraction subformulas of the formulas.
 
     This is the branching measure for the decision procedures: each distinct
     Monus node contributes at most one zero/positive split.
     """
-    return sum(1 for f in subformulas(formula) if isinstance(f, Monus))
+    return sum(type(f) is Monus for f in subformulas(*formulas)[0])
 
 
-def is_propositional(formula):
-    return all(
-        isinstance(f, (Const0, Atom, Neg, Half, Monus)) for f in subformulas(formula)
-    )
+def is_propositional(*formulas):
+    return all(type(f) in _PROPOSITIONAL for f in subformulas(*formulas)[0])
 
 
 def substitute(formula, mapping):
@@ -208,56 +315,37 @@ def substitute(formula, mapping):
     Atoms not in the mapping stay; replacement is simultaneous (replacements
     are not rewritten again).
     """
-    memo = {}
 
-    def walk(f):
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, Atom):
-            out = mapping.get(f.name, f)
-        elif isinstance(f, Neg):
-            out = Neg(walk(f.body))
-        elif isinstance(f, Half):
-            out = Half(walk(f.body))
-        elif isinstance(f, Monus):
-            out = Monus(walk(f.left), walk(f.right))
-        elif isinstance(f, Const0):
-            out = f
-        else:
+    def swap(f, p):
+        if type(f) is Atom:
+            return mapping.get(f.name, f)
+        if type(f) not in _PROPOSITIONAL:
             raise TypeError("not a propositional formula: %r" % (f,))
-        memo[f] = out
-        return out
+        return None
 
-    return walk(formula)
+    return rebuild([formula], subformulas(formula)[1], swap)[0]
+
+
+def term_variables(*terms):
+    """The variables occurring in the terms."""
+    return frozenset().union(*(
+        [t.name] if type(t) is Var else term_variables(*t.args) for t in terms
+    ))
 
 
 def free_variables(formula):
     """Free term variables of a first-order formula."""
-
-    def term_vars(t):
-        if isinstance(t, Var):
-            return {t.name}
-        out = set()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
-
-    def walk(f, bound):
-        if isinstance(f, Pred):
-            out = set()
-            for t in f.args:
-                out |= term_vars(t) - bound
-            return out
-        if isinstance(f, (Inf, Sup)):
-            return walk(f.body, bound | {f.var})
-        if isinstance(f, (Neg, Half)):
-            return walk(f.body, bound)
-        if isinstance(f, Monus):
-            return walk(f.left, bound) | walk(f.right, bound)
-        return set()
-
-    return walk(formula, set())
+    free, _ = fold([formula], {
+        Const0: lambda f: frozenset(),
+        Atom: lambda f: frozenset(),
+        Pred: lambda f: term_variables(*f.args),
+        Neg: lambda f, body: body,
+        Half: lambda f, body: body,
+        Monus: lambda f, left, right: left | right,
+        Inf: lambda f, body: body - {f.var},
+        Sup: lambda f, body: body - {f.var},
+    })
+    return set(free[-1])
 
 
 # --- signatures ----------------------------------------------------------------
@@ -303,8 +391,8 @@ class Signature:
 
     def validate_formula(self, formula):
         """Check arities and that every symbol is declared; raise ValueError."""
-        for f in subformulas(formula):
-            if isinstance(f, Pred):
+        for f in subformulas(formula)[0]:
+            if type(f) is Pred:
                 if f.name == METRIC_SYMBOL:
                     if len(f.args) != 2:
                         raise ValueError("metric %r takes 2 arguments" % f.name)
@@ -374,7 +462,12 @@ def _tokenize(text):
             k = j
             while k < n and text[k].isdigit():
                 k += 1
-            toks.append((_T_DYADIC, int(text[j:k]), i))
+            digits = text[j:k].lstrip("0") or "0"
+            if len(digits) > 5 or int(digits) > MAX_DYADIC_EXPONENT:
+                raise ParseError(
+                    "exponent of '2^-' above %d" % MAX_DYADIC_EXPONENT, j
+                )
+            toks.append((_T_DYADIC, int(digits), i))
             i = k
         elif c == "0":
             toks.append((_T_ZERO, None, i))
@@ -410,8 +503,10 @@ class _Parser:
         return self.toks[self.pos]
 
     def next(self):
+        """The next token; the end token repeats once it is reached."""
         t = self.toks[self.pos]
-        self.pos += 1
+        if t[0] != _T_END:
+            self.pos += 1
         return t
 
     def expect(self, kind, what):
@@ -421,7 +516,46 @@ class _Parser:
         return t
 
     def formula(self):
-        kind, value, at = self.next()
+        """One formula.  What still waits for a subformula (a prefix
+        connective or quantifier, or a bracket whose left operand is being
+        read) sits on an explicit stack, so nesting depth is unbounded."""
+        waiting = []
+        while True:
+            kind, value, at = self.next()
+            if kind == _T_IDENT and value in KEYWORDS:
+                if value == "neg" or value == "half":
+                    waiting.append(Neg if value == "neg" else Half)
+                    continue
+                if not self.first_order:
+                    raise ParseError("quantifier %r not allowed here" % value, at)
+                vtok = self.expect(_T_IDENT, "a variable name")
+                if vtok[1] in KEYWORDS:
+                    raise ParseError("reserved word %r cannot be a variable" % vtok[1], vtok[2])
+                self.expect(_T_DOT, "'.'")
+                q = Inf if value == "inf" else Sup
+                waiting.append(lambda body, q=q, var=vtok[1]: q(var, body))
+                continue
+            if kind == _T_LPAREN or kind == _T_BAR:
+                waiting.append(kind)
+                continue
+            node = self.leaf(kind, value, at)
+            while waiting:  # close what this node completes
+                w = waiting.pop()
+                if w == _T_LPAREN:
+                    op = self.next()
+                    waiting.append(
+                        lambda right, left=node, op=op: self.binary(left, op, right))
+                    break
+                if w == _T_BAR:
+                    self.expect(_T_MINUS, "'-'")
+                    waiting.append(lambda right, left=node: self.bars(left, right))
+                    break
+                node = w(node)
+            else:
+                return node
+
+    def leaf(self, kind, value, at):
+        """A formula with no subformula to read, starting at this token."""
         if kind == _T_ZERO:
             return Const0()
         if kind == _T_ONE:
@@ -429,45 +563,22 @@ class _Parser:
         if kind == _T_DYADIC:
             return dyadic(value)
         if kind == _T_IDENT:
-            if value == "neg":
-                return Neg(self.formula())
-            if value == "half":
-                return Half(self.formula())
-            if value in ("inf", "sup"):
-                if not self.first_order:
-                    raise ParseError("quantifier %r not allowed here" % value, at)
-                vtok = self.expect(_T_IDENT, "a variable name")
-                if vtok[1] in KEYWORDS:
-                    raise ParseError("reserved word %r cannot be a variable" % vtok[1], vtok[2])
-                self.expect(_T_DOT, "'.'")
-                body = self.formula()
-                return (Inf if value == "inf" else Sup)(vtok[1], body)
             if self.first_order:
                 self.expect(_T_LPAREN, "'(' (predicates take arguments here)")
-                args = self.termlist()
-                return Pred(value, tuple(args))
+                return Pred(value, tuple(self.termlist()))
             return Atom(value)
-        if kind == _T_LPAREN:
-            left = self.formula()
-            op, _, opat = self.next()
-            right = self.formula()
-            self.expect(_T_RPAREN, "')'")
-            if op == _T_MINUS:
-                return Monus(left, right)
-            if op == _T_AND:
-                return conj(left, right)
-            if op == _T_OR:
-                return disj(left, right)
-            if op == _T_PLUS:
-                return truncated_add(left, right)
-            raise ParseError("expected a binary operator", opat)
-        if kind == _T_BAR:
-            left = self.formula()
-            self.expect(_T_MINUS, "'-'")
-            right = self.formula()
-            self.expect(_T_BAR, "closing '|'")
-            return abs_diff(left, right)
         raise ParseError("expected a formula", at)
+
+    def binary(self, left, op, right):
+        self.expect(_T_RPAREN, "')'")
+        build = _BINARY.get(op[0])
+        if build is None:
+            raise ParseError("expected a binary operator", op[2])
+        return build(left, right)
+
+    def bars(self, left, right):
+        self.expect(_T_BAR, "closing '|'")
+        return abs_diff(left, right)
 
     def termlist(self):
         """Arguments up to and including the closing paren."""
@@ -499,6 +610,9 @@ class _Parser:
         return node
 
 
+_BINARY = {_T_MINUS: Monus, _T_AND: conj, _T_OR: disj, _T_PLUS: truncated_add}
+
+
 def parse_formula(text):
     """Parse a propositional formula (atoms are bare identifiers)."""
     p = _Parser(text, first_order=False)
@@ -514,24 +628,34 @@ def parse_lformula(text):
 # --- printer --------------------------------------------------------------------
 
 def print_formula(formula):
-    """Canonical fully parenthesized core form; inverse of the parser."""
-    if isinstance(formula, Const0):
-        return "0"
-    if isinstance(formula, Atom):
-        return formula.name
-    if isinstance(formula, Neg):
-        return "neg " + print_formula(formula.body)
-    if isinstance(formula, Half):
-        return "half " + print_formula(formula.body)
-    if isinstance(formula, Monus):
-        return "(%s - %s)" % (print_formula(formula.left), print_formula(formula.right))
-    if isinstance(formula, Pred):
-        return "%s(%s)" % (formula.name, ", ".join(print_term(t) for t in formula.args))
-    if isinstance(formula, Inf):
-        return "inf %s. %s" % (formula.var, print_formula(formula.body))
-    if isinstance(formula, Sup):
-        return "sup %s. %s" % (formula.var, print_formula(formula.body))
-    raise TypeError("not a formula: %r" % (formula,))
+    """Canonical fully parenthesized core form; inverse of the parser.
+
+    The text is as large as the formula's tree, so it is written out piece
+    by piece from an explicit stack of nodes and pending text rather than
+    assembled per distinct subformula.
+    """
+    out = []
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        t = type(f)
+        if t is str:
+            out.append(f)
+        elif t is Monus:
+            stack += (")", f.right, " - ", f.left, "(")
+        elif t is Neg or t is Half:
+            stack += (f.body, "neg " if t is Neg else "half ")
+        elif t is Inf or t is Sup:
+            stack += (f.body, "%s %s. " % ("inf" if t is Inf else "sup", f.var))
+        elif t is Atom:
+            out.append(f.name)
+        elif t is Const0:
+            out.append("0")
+        elif t is Pred:
+            out.append("%s(%s)" % (f.name, ", ".join(map(print_term, f.args))))
+        else:
+            raise TypeError("not a formula: %r" % (f,))
+    return "".join(out)
 
 
 def print_term(t):

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,16 @@ def test_rv_tauphi_golden(capsys, tmp_path):
     )
 
 
+def test_rv_tauphi_stage_cap(capsys, tmp_path):
+    paths = write_fixtures(tmp_path)
+    rc, out = run(
+        capsys,
+        ["rv", "tauphi", str(paths["x"]), "--n", "17", "--event", "w1"],
+    )
+    assert rc == 1
+    assert "at most 16" in json.loads(out)["error"]
+
+
 # --- rand ---------------------------------------------------------------------------
 
 
@@ -384,6 +395,14 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    for argv in [
+        ["entail", "--premise", "p", "--goal", "half p", "--witness", "--cap", "-2"],
+        ["unsat-witness", "--premise", "p", "--cap", "-1"],
+        ["find-proof", "-e", "p", "--depth", "-1"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -400,6 +419,13 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     rc, out = run(capsys, ["hall", str(bad)])
+    assert rc == 1
+    assert "error" in json.loads(out)
+
+    # a JSON number where a "p/q" string belongs
+    floats = tmp_path / "floats.json"
+    floats.write_text('{"atoms": [{"id": "a", "w": 0.5}, {"id": "b", "w": "1/2"}]}')
+    rc, out = run(capsys, ["rv", "check", str(floats)])
     assert rc == 1
     assert "error" in json.loads(out)
 
@@ -420,6 +446,42 @@ def test_branch_budget_env(capsys, monkeypatch):
     rc, out = run(capsys, ["valid", "-e", "p"])
     assert rc == 1
     assert "CLOG_BRANCH_BUDGET" in json.loads(out)["error"]
+
+
+def test_deeply_nested_formulas(capsys, tmp_path):
+    """Propositional formulas nest to any depth: an answer with its
+    countermodel, or the branch-budget error, each well within 10 s."""
+    cases = [
+        ("neg " * 100_000 + "p", '"countermodel":{"p":"1/8"},"value":"1/8"}'),
+        ("neg " * 100_001 + "p", '"countermodel":{"p":"0/1"},"value":"1/1"}'),
+        ("half " * 10_000 + "p",
+         '"countermodel":{"p":"1/2"},"value":"1/%d"}' % 2**10_001),
+        ("(" * 100_000 + "p" + " - q)" * 100_000,
+         '"error":"formula set has 100000 branching nodes, budget is 24"}'),
+    ]
+    for text, tail in cases:
+        started = time.monotonic()
+        rc, out = run(capsys, ["valid", "-e", text])
+        assert time.monotonic() - started < 10
+        assert rc == 1
+        assert out.startswith('{"cmd":"valid","status":"fail",')
+        assert out.endswith(tail + "\n")
+
+
+def test_first_order_nesting_beyond_the_stack(capsys, tmp_path):
+    """First-order evaluation still recurses; too deep a formula is one
+    clean error line."""
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    family = tmp_path / "family.json"
+    family.write_text(example)
+    rc, out = run(
+        capsys,
+        ["rand", "eval", str(family), "-e", "neg " * 5000 + "inf x. P(x)"],
+    )
+    assert rc == 1
+    report = json.loads(out)
+    assert report["status"] == "fail" and "recursion" in report["error"]
 
 
 def test_reports_start_with_cmd_and_status(capsys, tmp_path):

@@ -29,6 +29,7 @@ from clog.syntax import (
     parse_lformula,
     print_formula,
     subformulas,
+    substitute,
     times_chain,
     truncated_add,
 )
@@ -108,16 +109,25 @@ def test_structural_helpers():
     # the repeated subterm is counted once
     assert monus_count(f) == 2
     assert atom_names(f) == ["p", "q"]
-    subs = subformulas(f)
+    subs, pos = subformulas(f)
     assert subs[-1] == f
     assert len(subs) == len(set(subs))
+    # both (p - q) objects sit at one position, the root at the last
+    assert pos[id(f.left)] == pos[id(f.right)]
+    assert pos[id(f)] == len(subs) - 1
     assert is_propositional(f)
 
 
 def test_parse_errors():
-    for bad in ["", "(p - q", "p q", "neg", "2^-", "p $ q", "(p + q)", "01"]:
+    for bad in ["", "(p - q", "p q", "neg", "2^-", "p $ q", "(p + q)", "01", "(p"]:
         with pytest.raises(ParseError):
             parse_formula(bad)
+    # 2^-n takes n up to 10,000; above that the error points at the exponent
+    assert print_formula(parse_formula("2^-10000")) == print_formula(dyadic(10000))
+    for bad in ["2^-10001", "2^-99999999999", "(p - 2^-0000010001)"]:
+        with pytest.raises(ParseError) as exc:
+            parse_formula(bad)
+        assert exc.value.position == bad.index("2^-") + 3
     with pytest.raises(ParseError):
         parse_formula("inf x. P(x)")  # quantifiers need the first-order parser
     with pytest.raises(ParseError):
@@ -170,3 +180,50 @@ def test_signature_validation():
         Signature(functions={"f": [1]}, predicates={"f": [1]})
     with pytest.raises(ValueError):
         Signature(predicates={"P": [-1]})
+
+
+def test_walkers_never_hash_or_compare_nodes(monkeypatch):
+    """The formula walkers identify subformulas by position, never by
+    hashing a node or comparing two nodes: with both disabled on every node
+    class they give the same answers."""
+    from clog import proofs, rv, semantics
+    from clog.rationals import rat
+
+    sig = Signature(functions={"f": [1, 1], "c": []}, predicates={"P": [1]})
+    sp = rv.FiniteProbSpace.uniform(["a", "b"])
+    env = {"p": rv.RandomVariable(sp, [rat(1, 3), rat(1)]),
+           "q": rv.RandomVariable(sp, [rat(1, 2), rat(0)])}
+
+    def answers():
+        A = parse_formula
+        a2 = proofs.instantiate_axiom(
+            "A2", {"phi": A("half p"), "psi": A("(p - q)"), "rho": A("neg q")})
+        shared = A("( ((p - q) - (p - q)) - half (p - q) )")
+        lf = parse_lformula("inf x. sup y. (P(x) - d(x, f(y, c())))")
+        sig.validate_formula(lf)
+        elim = proofs.eliminate_half([A("half half p")], A("(half p - q)"))
+        return [
+            semantics.is_valid(a2), semantics.is_valid(shared),
+            semantics.is_valid(A("p")),
+            semantics.is_satisfiable([A("p"), A("neg p")]),
+            semantics.entails_semantic([A("p")], A("half p")),
+            semantics.entails_semantic([A("half p")], A("(q - p)")),
+            semantics.evaluate(shared, {"p": rat(3, 4), "q": rat(1, 5)}),
+            rv.rv_eval(shared, env, sp).values,
+            semantics.grid_max(a2, ["p", "q"], 4),
+            print_formula(substitute(shared, {"p": A("neg q")})),
+            [print_formula(f) for f in elim.premises + [elim.goal]],
+            [print_formula(f) for f in elim.fresh.values()],
+            print_formula(A("( |p - 2^-2| (+) (p \\/ q) )")),
+            print_formula(lf),
+        ]
+
+    expected = answers()
+
+    def refuse(*args):
+        raise AssertionError("a formula node was hashed or compared")
+
+    for cls in (Const0, Atom, Neg, Half, Monus, Var, Apply, Pred, Inf, Sup):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+        monkeypatch.setattr(cls, "__eq__", refuse)
+    assert answers() == expected
