@@ -12,6 +12,8 @@ exact rational LP.  Shared subterms appear once in the traversal order, so a
 repeated subformula is resolved consistently instead of multiplying cells.
 """
 
+import math
+
 from .rationals import ZERO, ONE, rat
 from .simplex import GE, OPTIMAL, POSITIVE, UNBOUNDED, solve_lp
 
@@ -61,19 +63,13 @@ class Affine:
 
     def key(self):
         """Canonical form of the constraint self >= 0 (integer, gcd-reduced)."""
-        from math import gcd
-
-        dens = [rat(c).denominator for c in self.coeffs.values()]
-        dens.append(rat(self.const).denominator)
-        lcm = 1
-        for d in dens:
-            lcm = lcm * d // gcd(lcm, d)
+        lcm = math.lcm(
+            rat(self.const).denominator,
+            *(rat(c).denominator for c in self.coeffs.values()),
+        )
         ints = {v: int(c * lcm) for v, c in self.coeffs.items()}
         const = int(self.const * lcm)
-        g = 0
-        for x in ints.values():
-            g = gcd(g, abs(x))
-        g = gcd(g, abs(const))
+        g = math.gcd(const, *ints.values())
         if g > 1:
             ints = {v: x // g for v, x in ints.items()}
             const //= g

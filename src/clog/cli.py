@@ -27,6 +27,11 @@ from .rationals import ZERO, format_rat, parse_rat, rat
 DEFAULT_BRANCH_BUDGET = 24
 # rv tauphi loops 2^n times at stage n; 16 takes a few seconds
 MAX_TAUPHI_STAGE = 16
+# rv check is cubic in its sample count and rand axioms quadratic (times the
+# 2^n events of an n-atom space); at these caps each takes a few seconds on
+# a space of three or four atoms
+MAX_RV_SAMPLES = 24
+MAX_RAND_SAMPLES = 128
 
 
 def _budget():
@@ -53,12 +58,8 @@ def _nonnegative_int(text):
     return value
 
 
-def _fmt(x):
-    return format_rat(x)
-
-
 def _fmt_point(point):
-    return {name: _fmt(point[name]) for name in sorted(point)}
+    return {name: format_rat(point[name]) for name in sorted(point)}
 
 
 def _load_json(path):
@@ -140,7 +141,7 @@ def _cmd_valid(args, parser):
     return "fail", {
         "valid": False,
         "countermodel": _fmt_point(point),
-        "value": _fmt(semantics.evaluate(formula, point)),
+        "value": format_rat(semantics.evaluate(formula, point)),
     }
 
 
@@ -214,13 +215,16 @@ def _cmd_elim_half(args, parser):
 
 
 def _cmd_rv_check(args, parser):
+    if args.samples > MAX_RV_SAMPLES:
+        raise ValueError(
+            "--samples is at most %d (the check is cubic in it)" % MAX_RV_SAMPLES)
     space = rv.space_from_json(_load_json(args.space))
     samples = _random_rvs(space, args.samples, args.seed)
     residuals = rv.check_rv_axioms(space, samples)
     ok = all(v == 0 for v in residuals.values())
     payload = {
         "samples": args.samples,
-        "residuals": {k: _fmt(v) for k, v in residuals.items()},
+        "residuals": {k: format_rat(v) for k, v in residuals.items()},
     }
     return ("ok" if ok else "fail"), payload
 
@@ -230,24 +234,24 @@ def _cmd_rv_arv_defect(args, parser):
     if args.witness:
         value, witness = rv.arv_defect(x.space, x, with_witness=True)
         return "ok", {
-            "defect": _fmt(value),
-            "witness": [_fmt(v) for v in witness.values],
+            "defect": format_rat(value),
+            "witness": [format_rat(v) for v in witness.values],
         }
     value = rv.arv_defect(x.space, x)
-    return "ok", {"defect": _fmt(value)}
+    return "ok", {"defect": format_rat(value)}
 
 
 def _cmd_rv_dist(args, parser):
     x = rv.rv_from_json(_load_json(args.x))
     y = rv.rv_from_json(_load_json(args.y))
-    return "ok", {"d": _fmt(rv.l1_dist(x, y))}
+    return "ok", {"d": format_rat(rv.l1_dist(x, y))}
 
 
 def _cmd_rv_joint(args, parser):
     rvs = [rv.rv_from_json(_load_json(path)) for path in args.rv]
     law = rv.joint_distribution(rvs)
     masses = [
-        {"values": [_fmt(v) for v in key], "w": _fmt(w)}
+        {"values": [format_rat(v) for v in key], "w": format_rat(w)}
         for key, w in sorted(law.masses.items())
     ]
     return "ok", {"masses": masses}
@@ -257,7 +261,7 @@ def _cmd_rv_condexp(args, parser):
     x = rv.rv_from_json(_load_json(args.rv))
     partition = [x.space.event(_parse_event(b)) for b in args.block]
     out = rv.cond_expectation(x, partition)
-    return "ok", {"values": [_fmt(v) for v in out.values]}
+    return "ok", {"values": [format_rat(v) for v in out.values]}
 
 
 def _cmd_rv_tauphi(args, parser):
@@ -273,9 +277,9 @@ def _cmd_rv_tauphi(args, parser):
     within = gap <= bound
     return ("ok" if within else "fail"), {
         "n": args.n,
-        "phi": _fmt(phi),
-        "integral": _fmt(integral),
-        "bound": _fmt(bound),
+        "phi": format_rat(phi),
+        "integral": format_rat(integral),
+        "bound": format_rat(bound),
         "within": bool(within),
     }
 
@@ -289,10 +293,14 @@ def _cmd_rand_eval(args, parser):
     phi = syntax.parse_lformula(text)
     env = _parse_sections(family, args.section)
     out = randomisation.bracket(phi, env, family)
-    return "ok", {"values": [_fmt(v) for v in out.values]}
+    return "ok", {"values": [format_rat(v) for v in out.values]}
 
 
 def _cmd_rand_axioms(args, parser):
+    if args.samples > MAX_RAND_SAMPLES:
+        raise ValueError(
+            "--samples is at most %d (the check is quadratic in it)"
+            % MAX_RAND_SAMPLES)
     family = randomisation.family_from_json(_load_json(args.family))
     rng = random.Random(args.seed)
     sections = []
@@ -305,7 +313,7 @@ def _cmd_rand_axioms(args, parser):
     ok = all(v == 0 for v in residuals.values())
     payload = {
         "samples": args.samples,
-        "residuals": {k: _fmt(v) for k, v in residuals.items()},
+        "residuals": {k: format_rat(v) for k, v in residuals.items()},
     }
     return ("ok" if ok else "fail"), payload
 
@@ -320,8 +328,8 @@ def _cmd_rand_los(args, parser):
         weighting = [parse_rat(w.strip()) for w in args.weights.split(",")]
     lhs, rhs, equal = randomisation.los_check(phi, env, family, weighting)
     return ("ok" if equal else "fail"), {
-        "lhs": _fmt(lhs),
-        "rhs": _fmt(rhs),
+        "lhs": format_rat(lhs),
+        "rhs": format_rat(rhs),
         "equal": bool(equal),
     }
 
@@ -348,11 +356,11 @@ def _cmd_rand_type_measure(args, parser):
     names = args.name or None
     measure = randomisation.type_measure(sections, family, formulas, names)
     masses = [
-        {"label": [_fmt(v) for v in key], "w": _fmt(w)}
+        {"label": [format_rat(v) for v in key], "w": format_rat(w)}
         for key, w in sorted(measure.masses.items())
     ]
     pairings = [
-        _fmt(randomisation.pairing(measure, i)) for i in range(len(formulas))
+        format_rat(randomisation.pairing(measure, i)) for i in range(len(formulas))
     ]
     return "ok", {"masses": masses, "pairings": pairings}
 
@@ -369,7 +377,7 @@ def _cmd_rand_inf_witness(args, parser):
     at = randomisation.bracket(phi, bound, family)
     return "ok", {
         "section": list(sec.values),
-        "values": [_fmt(v) for v in at.values],
+        "values": [format_rat(v) for v in at.values],
     }
 
 
@@ -448,7 +456,8 @@ def _build_parser():
 
     p = rv_sub.add_parser("check", help="axiom residuals on random samples")
     p.add_argument("space", help="probability space JSON file")
-    p.add_argument("--samples", type=int, default=12)
+    p.add_argument("--samples", type=_nonnegative_int, default=12,
+                   help="sample variables (2 to %d)" % MAX_RV_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_rv_check, echo="rv check")
 
@@ -493,7 +502,8 @@ def _build_parser():
 
     p = rand_sub.add_parser("axioms", help="axiom residuals on random sections")
     p.add_argument("family", help="random family JSON file")
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_nonnegative_int, default=8,
+                   help="sample sections (2 to %d)" % MAX_RAND_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_rand_axioms, echo="rand axioms")
 

@@ -29,11 +29,10 @@ parse(print(f)) == f.
 `subformulas` is the one traversal of the formula DAG: it keeps an explicit
 stack and identifies structurally equal subformulas by position, never by
 hashing a node (which hashes its whole subtree); `fold` interprets formulas
-and `rebuild` rewrites them over it.  These, the parser, the printer and
-the bytecode compiler (the last two walk the tree, as large as their
-output) use no Python recursion, so propositional formulas may nest to any
-depth; terms, and the first-order evaluators whose quantifiers re-enter
-their body, still recurse.
+and `rebuild` rewrites them over it.  These, the parser and the printer
+(which walks the tree, as large as its output) use no Python recursion, so
+propositional formulas may nest to any depth; terms, and the first-order
+evaluators whose quantifiers re-enter their body, still recurse.
 """
 
 from dataclasses import dataclass

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from clog import hall, randomisation, rv
+from clog import cli, hall, randomisation, rv
 from clog.cli import main
 from clog.rationals import rat
 from clog.syntax import Signature
@@ -399,6 +399,8 @@ def test_usage_errors_exit_2(capsys):
         ["entail", "--premise", "p", "--goal", "half p", "--witness", "--cap", "-2"],
         ["unsat-witness", "--premise", "p", "--cap", "-1"],
         ["find-proof", "-e", "p", "--depth", "-1"],
+        ["rv", "check", "space.json", "--samples", "-1"],
+        ["rand", "axioms", "family.json", "--samples", "-3"],
     ]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -428,6 +430,16 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     rc, out = run(capsys, ["rv", "check", str(floats)])
     assert rc == 1
     assert "error" in json.loads(out)
+
+    # sample counts above the documented caps
+    paths = write_fixtures(tmp_path)
+    for argv, cap in [
+        (["rv", "check", str(paths["space"])], cli.MAX_RV_SAMPLES),
+        (["rand", "axioms", str(paths["family"])], cli.MAX_RAND_SAMPLES),
+    ]:
+        rc, out = run(capsys, argv + ["--samples", str(cap + 1)])
+        assert rc == 1
+        assert json.loads(out)["error"].startswith("--samples is at most %d " % cap)
 
 
 def test_branch_budget_env(capsys, monkeypatch):
