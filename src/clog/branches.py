@@ -1,15 +1,16 @@
 """Branch enumeration for piecewise-linear terms over the unit box.
 
-Connectives like truncated subtraction, min/max and absolute value are
-piecewise affine; resolving each one into its "zero" and "positive" (resp.
-left/right, nonnegative/nonpositive) side splits the unit box into cells, on
-each of which the whole term is a single affine expression.  A term with k
-split nodes has at most 2^k sign vectors but only polynomially many feasible
-cells (a hyperplane arrangement), so the sides are explored depth-first with
-the current constraint set checked for feasibility at every step: first
-against a witness point carried along the search, then (on a miss) with an
-exact rational LP.  Shared subterms appear once in the traversal order, so a
-repeated subformula is resolved consistently instead of multiplying cells.
+The one split node is truncated subtraction max(0, a - b); min, max and
+absolute value are written with it and linear combinations.  Resolving each
+split into its "zero" (a <= b) and "positive" (a >= b) side cuts the unit
+box into cells, on each of which the whole term is a single affine
+expression.  A term with k split nodes has at most 2^k sign vectors but only
+polynomially many feasible cells (a hyperplane arrangement), so the sides
+are explored depth-first with the current constraint set checked for
+feasibility at every step: first against a witness point carried along the
+search, then (on a miss) with an exact rational LP.  Shared subterms appear
+once in the traversal order, so a repeated subformula is resolved
+consistently instead of multiplying cells.
 """
 
 import math
@@ -57,6 +58,12 @@ class Affine:
         return sum(
             (c * point[v] for v, c in self.coeffs.items()), start=ZERO
         ) + self.const
+
+    def box_max(self):
+        """Largest value on the unit box (an upper bound on any cell)."""
+        return self.const + sum(
+            (c for c in self.coeffs.values() if c > 0), start=ZERO
+        )
 
     def is_zero(self):
         return not self.coeffs and self.const == 0
@@ -108,29 +115,6 @@ class PLMonus:
         self.right = right
 
 
-class PLMin:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-class PLMax:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-class PLAbs:
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        self.body = body
-
-
 class Cell:
     """A polytope (within the unit box) on which the term is one affine."""
 
@@ -147,8 +131,6 @@ def _children(node):
         return ()
     if isinstance(node, PLComb):
         return tuple(t for _, t in node.terms)
-    if isinstance(node, PLAbs):
-        return (node.body,)
     return (node.left, node.right)
 
 
@@ -248,23 +230,6 @@ class CellEnumerator:
         values = {}  # id(node) -> Affine under the current sign choices
         constraints = {}  # key -> Affine (each meaning affine >= 0)
 
-        def branch_sides(n):
-            """(diff, ((guard, value), (guard, value))) for a split node;
-            the first side is the one active when diff <= 0."""
-            if isinstance(n, PLAbs):
-                v = values[id(n.body)]
-                return v, ((v.scale(-ONE), v.scale(-ONE)), (v, v))
-            va = values[id(n.left)]
-            vb = values[id(n.right)]
-            diff = va.minus(vb)
-            if isinstance(n, PLMonus):
-                return diff, ((diff.scale(-ONE), Affine.constant(0)), (diff, diff))
-            if isinstance(n, PLMin):
-                return diff, ((diff.scale(-ONE), va), (diff, vb))
-            if isinstance(n, PLMax):
-                return diff, ((diff.scale(-ONE), vb), (diff, va))
-            raise TypeError("not a piecewise-linear term: %r" % (n,))
-
         def walk(i, point):
             while i < len(order):
                 n = order[i]
@@ -285,14 +250,16 @@ class CellEnumerator:
                     point,
                 )
                 return
-            node = order[i]
-            diff, sides = branch_sides(node)
+            node = order[i]  # a PLMonus: zero where diff <= 0, else diff
+            diff = values[id(node.left)].minus(values[id(node.right)])
+            neg = diff.scale(-ONE)
+            sides = ((neg, Affine.constant(0)), (diff, diff))
             if not diff.coeffs:  # constant difference: the side is forced
                 _, value = sides[0] if diff.const <= 0 else sides[1]
                 values[id(node)] = value
                 yield from walk(i + 1, point)
                 return
-            keys = (diff.scale(-ONE).key(), diff.key())
+            keys = (neg.key(), diff.key())
             for si in (0, 1):
                 if keys[si] in constraints:
                     # this hyperplane was already resolved the same way on
@@ -323,9 +290,35 @@ class CellEnumerator:
 
     # ---- optimisation ----------------------------------------------------
 
-    def optimize_cell(self, cell, objective, maximize=True, extra=(),
-                      stop_when_positive=False):
-        """Exact optimum of an affine objective over one cell (+ extras)."""
+    def maximum(self, node, limit):
+        """(maximum of the term over the box, a point attaining it).
+
+        The search stops as soon as the best value found reaches `limit`,
+        which the caller passes as an upper bound the term cannot exceed.
+        """
+        best, best_point = None, None
+        for cell in self.iter_cells([node]):
+            value = cell.values[0]
+            if best is not None and value.box_max() <= best:
+                continue
+            if not value.coeffs:  # constant on the cell, any cell point attains it
+                got = (value.const, cell.point)
+            else:
+                got = self.optimize_cell(cell, value)
+            if got is None:
+                continue
+            if best is None or got[0] > best:
+                best, best_point = got
+                if best >= limit:
+                    break
+        assert best is not None, "a term always has at least one feasible cell"
+        return best, best_point
+
+    def optimize_cell(self, cell, objective, extra=(), stop_when_positive=False):
+        """(exact maximum of an affine objective over one cell and the
+        extra constraints, a point attaining it), or None if infeasible.
+        With stop_when_positive, the first positive value seen is returned
+        instead of the maximum."""
         cons = dict(cell.constraints)
         for aff in extra:
             key = aff.key()
@@ -341,7 +334,6 @@ class CellEnumerator:
             len(self.variables),
             rows,
             objective=obj,
-            maximize=maximize,
             stop_when_positive=stop_when_positive,
             positive_threshold=-objective.const,
         )
@@ -350,4 +342,4 @@ class CellEnumerator:
         if res.status not in (OPTIMAL, POSITIVE):
             return None
         point = dict(zip(self.variables, res.point))
-        return res.value + objective.const, point, res.status
+        return res.value + objective.const, point

@@ -385,6 +385,10 @@ def _cmd_rand_inf_witness(args, parser):
 
 
 def _cmd_hall(args, parser):
+    if args.bound > hall_mod.DEFAULT_SUBSET_BOUND:
+        raise ValueError(
+            "--bound is at most %d (the condition enumerates 2^n item subsets)"
+            % hall_mod.DEFAULT_SUBSET_BOUND)
     instance = hall_mod.instance_from_json(_load_json(args.instance))
     holds, violating = hall_mod.hall_condition(instance, bound=args.bound)
     if not holds:
@@ -547,8 +551,10 @@ def _build_parser():
     p = sub.add_parser("hall",
                        help="marriage condition and mass allocation")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--bound", type=int, default=hall_mod.DEFAULT_SUBSET_BOUND,
-                   help="largest item-subset count to enumerate")
+    p.add_argument("--bound", type=_nonnegative_int,
+                   default=hall_mod.DEFAULT_SUBSET_BOUND,
+                   help="largest item count to enumerate subsets of (at most %d)"
+                   % hall_mod.DEFAULT_SUBSET_BOUND)
     p.set_defaults(handler=_cmd_hall, echo="hall")
 
     return parser

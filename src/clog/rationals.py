@@ -1,33 +1,23 @@
 """Exact rational helpers shared by every module.
 
-All public interfaces speak `fractions.Fraction` (or anything Fraction
-accepts); internally we switch to gmpy2.mpq when it is importable because it
-is several times faster on the simplex hot path.  Both types implement the
-same rational arithmetic, compare equal to each other, and round-trip through
-the "p/q" string form used in every JSON file this package reads or writes.
+All interfaces speak `fractions.Fraction` (or anything Fraction accepts),
+and Fraction is the one rational type inside.  Every rational round-trips
+through the "p/q" string form used in every JSON file this package reads or
+writes.
 """
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def rat(p, q=None):
-        if q is None:
-            if isinstance(p, float):
-                raise TypeError("refusing float -> rational conversion: %r" % (p,))
-            return _mpq(p)
-        return _mpq(p, q)
+def rat(p, q=None):
+    if q is None:
+        if type(p) is Fraction:
+            return p  # immutable, so a copy would only cost memory
+        if isinstance(p, float):
+            raise TypeError("refusing float -> rational conversion: %r" % (p,))
+        return Fraction(p)
+    return Fraction(p, q)
 
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def rat(p, q=None):
-        if q is None:
-            if type(p) is Fraction:
-                return p  # immutable, so a copy would only cost memory
-            if isinstance(p, float):
-                raise TypeError("refusing float -> rational conversion: %r" % (p,))
-            return Fraction(p)
-        return Fraction(p, q)
 
 ZERO = rat(0)
 ONE = rat(1)

@@ -11,7 +11,7 @@ random variables: each propositional atom names an RV and the connectives
 act pointwise (rv_eval).
 """
 
-from .branches import Affine, CellEnumerator, PLAbs, PLAffine, PLComb, PLMax, PLMin
+from .branches import Affine, CellEnumerator, PLAffine, PLComb, PLMonus
 from .rationals import HALF, ONE, ZERO, format_rat, is_unit_interval, parse_rat, rat
 from . import syntax
 from .syntax import Atom, Half, Monus, Neg, conj
@@ -294,15 +294,20 @@ def check_rv_axioms(space, samples):
 # --- atomlessness defect ----------------------------------------------------------
 
 
+def _min(a, b):
+    """min(a, b) = a - max(0, a - b) as a piecewise-linear term."""
+    return PLComb([(1, a), (-1, PLMonus(a, b))])
+
+
 def arv_defect(space, x, with_witness=False):
     """Exact infimum over random variables y of
     max(E(y and not-y), |E(y and x) - E(x)/2|).
 
     The body is piecewise affine in y's atom values, so the infimum is a
-    minimum, found by branch-resolving the min/abs/max nodes and solving an
-    exact LP on each cell.  It is 0 only when some y splits x's mass in half
-    while being two-valued {0,1}; finite spaces generally leave a positive
-    defect.
+    minimum, found by branch-resolving the truncated subtractions that write
+    min, abs and max, and solving an exact LP on each cell.  It is 0 only
+    when some y splits x's mass in half while being two-valued {0,1}; finite
+    spaces generally leave a positive defect.
     """
     if x.space != space:
         raise ValueError("random variable on a different space")
@@ -312,43 +317,27 @@ def arv_defect(space, x, with_witness=False):
     for i, w in enumerate(space.weights):
         y_i = Affine.variable(variables[i])
         neg_y_i = Affine({variables[i]: -ONE}, ONE)
-        balance_terms.append((w, PLMin(PLAffine(y_i), PLAffine(neg_y_i))))
+        balance_terms.append((w, _min(PLAffine(y_i), PLAffine(neg_y_i))))
     balance = PLComb(balance_terms, ZERO)
     # |E(y and x) - E(x)/2| = |sum_i w_i * min(y_i, x_i) - E(x)/2|
     half_mass_terms = []
     for i, w in enumerate(space.weights):
         y_i = PLAffine(Affine.variable(variables[i]))
         x_i = PLAffine(Affine.constant(x.values[i]))
-        half_mass_terms.append((w, PLMin(y_i, x_i)))
+        half_mass_terms.append((w, _min(y_i, x_i)))
     centred = PLComb(half_mass_terms, -(expectation(x) * HALF))
-    objective = PLMax(balance, PLAbs(centred))
+    # |c| = -c + 2 max(0, c), and max(a, b) = max(0, a - b) + b
+    zero = PLAffine(Affine.constant(0))
+    modulus = PLComb([(-1, centred), (2, PLMonus(centred, zero))])
+    objective = PLComb([(1, PLMonus(balance, modulus)), (1, modulus)])
 
+    # the minimum is the negated maximum of -objective, which is at most 0
     enum = CellEnumerator(variables)
-    best = None
-    best_point = None
-    for cell in enum.iter_cells([objective]):
-        value = cell.values[0]
-        if best is not None:
-            lower = value.const + sum(
-                c for c in value.coeffs.values() if c < 0
-            )
-            if lower >= best:
-                continue
-        if not value.coeffs:
-            got_value, point = value.const, cell.point
-        else:
-            got = enum.optimize_cell(cell, value, maximize=False)
-            if got is None:
-                continue
-            got_value, point, _ = got
-        if best is None or got_value < best:
-            best, best_point = got_value, point
-            if best == 0:
-                break
+    best, best_point = enum.maximum(PLComb([(-1, objective)]), ZERO)
     witness = RandomVariable(space, [best_point[v] for v in variables])
     if with_witness:
-        return best, witness
-    return best
+        return -best, witness
+    return -best
 
 
 # --- the event algebra ------------------------------------------------------------

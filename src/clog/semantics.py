@@ -71,15 +71,6 @@ def check_budget(formulas, budget):
         )
 
 
-def _box_upper_bound(affine):
-    """Largest value the affine can take on the unit box (ignoring the cell)."""
-    bound = affine.const
-    for c in affine.coeffs.values():
-        if c > 0:
-            bound = bound + c
-    return bound
-
-
 def _abstract_shared(formula):
     """The formula with every repeated subtraction subformula replaced by a
     fresh atom (the same atom at all its occurrences), and the number of
@@ -141,50 +132,33 @@ def enumerate_branches(formula, budget=None):
 def sup_value(formula, budget=None):
     """(exact supremum over the unit box, witnessing assignment)."""
     check_budget([formula], budget)
-    atoms = syntax.atom_names(formula)
-    enum = CellEnumerator(atoms)
+    enum = CellEnumerator(syntax.atom_names(formula))
     (node,) = _formula_ir([formula])
-    best, best_point = None, None
-    for cell in enum.iter_cells([node]):
-        value = cell.values[0]
-        if best is not None:
-            if best == 1:  # cannot do better than the range bound
-                break
-            if _box_upper_bound(value) <= best:
-                continue
-        if not value.coeffs:  # constant on the cell, any cell point attains it
-            got = (value.const, cell.point, None)
-        else:
-            got = enum.optimize_cell(cell, value, maximize=True)
-        if got is None:
-            continue
-        got_value, point, _ = got
-        if best is None or got_value > best:
-            best, best_point = got_value, point
-    assert best is not None, "a formula always has at least one feasible cell"
-    return best, best_point
+    return enum.maximum(node, ONE)  # no formula exceeds 1
 
 
-def _valid_by_cells(formula, atoms):
-    """Cell-by-cell validity check; assumes budget and pre-passes are done."""
+def _refute(goal, premises, atoms):
+    """The first point found where every premise is 0 and the goal is
+    positive, or None if there is none; assumes the budget is checked."""
     enum = CellEnumerator(atoms)
-    (node,) = _formula_ir([formula])
-    for cell in enum.iter_cells([node]):
-        value = cell.values[0]
-        if _box_upper_bound(value) <= 0:
+    nodes = _formula_ir([goal] + premises)
+    for cell in enum.iter_cells(nodes):
+        goal_value = cell.values[0]
+        if goal_value.box_max() <= 0:
             continue
-        at_probe = value.evaluate(cell.point)
-        if at_probe > 0:
-            return False, cell.point
+        if goal_value.evaluate(cell.point) > 0 and all(
+            v.evaluate(cell.point) == 0 for v in cell.values[1:]
+        ):
+            return cell.point  # the cell's own point is a countermodel
+        # premises pinned to zero: their cell values are >= 0 on the cell
+        # already, so one inequality each suffices
+        extra = [value.scale(-ONE) for value in cell.values[1:]]
         got = enum.optimize_cell(
-            cell, value, maximize=True, stop_when_positive=True
+            cell, goal_value, extra=extra, stop_when_positive=True
         )
-        if got is None:
-            continue
-        got_value, point, _ = got
-        if got_value > 0:
-            return False, point
-    return True, None
+        if got is not None and got[0] > 0:
+            return got[1]
+    return None
 
 
 def _grid_refute(formula, atoms, denom=8):
@@ -214,44 +188,23 @@ def is_valid(formula, budget=None):
     if replaced:
         sk_atoms = syntax.atom_names(skeleton)
         if _grid_refute(skeleton, sk_atoms) is None:
-            ok, _ = _valid_by_cells(skeleton, sk_atoms)
-            if ok:
+            if _refute(skeleton, [], sk_atoms) is None:
                 return True, None
-    return _valid_by_cells(formula, atoms)
+    point = _refute(formula, [], atoms)
+    return point is None, point
 
 
 def is_satisfiable(formulas, budget=None):
     """Is there one assignment giving every formula the value 0?
 
-    Decided on the single disjunction (pointwise max) of the set: the max of
-    the values is 0 exactly when all of them are.
+    Decided as the failure of the entailment from the set to the constant 1:
+    a common zero of the formulas is exactly a countermodel to it.
     """
     formulas = list(formulas)
     if not formulas:
         return True
     check_budget(formulas, budget)
-    joined = formulas[0]
-    for f in formulas[1:]:
-        joined = syntax.disj(joined, f)
-    atoms = syntax.atom_names(joined)
-    enum = CellEnumerator(atoms)
-    (node,) = _formula_ir([joined])
-    for cell in enum.iter_cells([node]):
-        value = cell.values[0]
-        if value.evaluate(cell.point) == 0:  # the cell's own point suffices
-            return True
-        lower = value.const + sum(c for c in value.coeffs.values() if c < 0)
-        if lower > 0:  # cannot reach zero anywhere on the box
-            continue
-        if not value.coeffs:
-            continue  # constant and nonzero on this cell
-        got = enum.optimize_cell(cell, value, maximize=False)
-        if got is None:
-            continue
-        got_value, _, _ = got
-        if got_value == 0:
-            return True
-    return False
+    return _refute(syntax.one(), formulas, syntax.atom_names(*formulas)) is not None
 
 
 def entails_semantic(premises, goal, budget=None):
@@ -265,29 +218,8 @@ def entails_semantic(premises, goal, budget=None):
     if not syntax.is_propositional(*premises):
         raise TypeError("premises must be propositional formulas")
     check_budget(premises + [goal], budget)
-    atoms = syntax.atom_names(*premises, goal)
-    enum = CellEnumerator(atoms)
-    nodes = _formula_ir([goal] + premises)
-    for cell in enum.iter_cells(nodes):
-        goal_value = cell.values[0]
-        if _box_upper_bound(goal_value) <= 0:
-            continue
-        if goal_value.evaluate(cell.point) > 0 and all(
-            v.evaluate(cell.point) == 0 for v in cell.values[1:]
-        ):
-            return False, cell.point  # the cell's own point is a countermodel
-        # premises pinned to zero: their cell values are >= 0 on the cell
-        # already, so one inequality each suffices
-        extra = [value.scale(-ONE) for value in cell.values[1:]]
-        got = enum.optimize_cell(
-            cell, goal_value, maximize=True, extra=extra, stop_when_positive=True
-        )
-        if got is None:
-            continue
-        value, point, _ = got
-        if value > 0:
-            return False, point
-    return True, None
+    point = _refute(goal, premises, syntax.atom_names(*premises, goal))
+    return point is None, point
 
 
 def entails_witness(premises, goal, cap=DEFAULT_WITNESS_CAP, budget=None):

@@ -15,10 +15,7 @@ from clog import syntax
 
 
 def exact(x):
-    """Exact value as an int-backed Fraction.
-
-    Fraction(gmpy2.mpq) keeps mpz components inside, which gmpy2 then
-    refuses to mix with; rebuilding from plain ints avoids that."""
+    """Exact value as a Fraction rebuilt from plain ints."""
     return Fraction(int(x.numerator), int(x.denominator))
 
 

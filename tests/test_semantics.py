@@ -156,6 +156,28 @@ def test_satisfiability():
     assert is_satisfiable([F("|p - half neg p|")])  # zero exactly at p = 1/3
     assert not is_satisfiable([F("2^-3")])
 
+    rng = random.Random(20260601)
+    atoms = ["p", "q", "r"]
+    for _ in range(40):
+        # a planted common zero on the 1/4 grid
+        point = {a: Fraction(rng.randint(0, 4), 4) for a in atoms}
+        fs = []
+        while len(fs) < 3:
+            f = oracles.random_core_formula(rng, 3, atoms, monus_cap=3)
+            if oracles.eval_fraction(f, point) == 0:
+                fs.append(f)
+        assert is_satisfiable(fs)
+        # f = 0 forces neg f = 1
+        f = oracles.random_core_formula(rng, 4, atoms, monus_cap=4)
+        assert not is_satisfiable([f, Neg(f)])
+
+    # first-order formulas are refused with the evaluator's own message
+    with pytest.raises(TypeError) as exc:
+        is_satisfiable([F("p"), syntax.parse_lformula("(2^-1 - inf x. P(x))")])
+    assert str(exc.value) == (
+        "Pred nodes have no meaning here: Pred(name='P', args=(Var(name='x'),))"
+    )
+
 
 def test_entailment_examples():
     ok, _ = entails_semantic([F("p")], F("half p"))
@@ -217,6 +239,20 @@ def test_budget_enforcement():
     assert ok is True
     with pytest.raises(BudgetExceeded):
         is_valid(syntax.Monus(f, f), budget=5)
+    # each procedure counts its own formulas only: satisfiability is decided
+    # as a refutation of the constant 1, whose Monus(0, 0) is not charged
+    sat_set = [F("(p - q)"), F("((q - r) - half p)")]
+    premises, goal = [F("(p - (q - r))")], F("((q - p) - r)")
+    calls = [
+        (lambda b: is_satisfiable(sat_set, budget=b), sat_set),
+        (lambda b: entails_semantic(premises, goal, budget=b), premises + [goal]),
+        (lambda b: sup_value(goal, budget=b), [goal]),
+    ]
+    for call, formulas in calls:
+        budget = syntax.monus_count(*formulas)
+        call(budget)
+        with pytest.raises(BudgetExceeded):
+            call(budget - 1)
 
 
 def test_entails_rejects_nonpropositional_premises():
