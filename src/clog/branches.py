@@ -175,13 +175,8 @@ class CellEnumerator:
             rows.append((unit, "<=", ONE))
         return rows
 
-    def feasible_point(self, constraints, probes=()):
+    def feasible_point(self, constraints):
         """A point of the cell (plus unit box), or None."""
-        for p in probes:
-            if p is not None and all(
-                aff.evaluate(p) >= 0 for aff in constraints.values()
-            ):
-                return p
         key = frozenset(constraints)
         try:
             return self._feas_cache[key]

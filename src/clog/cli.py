@@ -3,7 +3,7 @@
 Every operation is a subcommand printing a single-line JSON report:
 {"cmd": <subcommand echo>, "status": "ok"|"fail"|"infeasible", ...payload}.
 Exit code is 0 exactly when the status is "ok"; domain errors (bad files,
-unparsable formulas, module ValueErrors, first-order formulas nested deeper
+unparsable formulas, module ValueErrors, terms or JSON files nested deeper
 than Python's stack) exit 1 with an "error" field, and usage errors exit 2
 via argparse.  Rationals are printed reduced as "p/q" with an explicit
 positive denominator so reports are byte-stable.
@@ -32,6 +32,8 @@ MAX_TAUPHI_STAGE = 16
 # a space of three or four atoms
 MAX_RV_SAMPLES = 24
 MAX_RAND_SAMPLES = 128
+# rv arv-defect's cell search grows about 4.5x per atom; 5 atoms take seconds
+MAX_ARV_ATOMS = 5
 
 
 def _budget():
@@ -231,6 +233,10 @@ def _cmd_rv_check(args, parser):
 
 def _cmd_rv_arv_defect(args, parser):
     x = rv.rv_from_json(_load_json(args.rv))
+    if len(x.space) > MAX_ARV_ATOMS:
+        raise ValueError(
+            "rv arv-defect takes at most %d atoms (the search grows about 4.5x "
+            "per atom)" % MAX_ARV_ATOMS)
     if args.witness:
         value, witness = rv.arv_defect(x.space, x, with_witness=True)
         return "ok", {

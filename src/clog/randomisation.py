@@ -16,21 +16,7 @@ from . import syntax
 from .rationals import ZERO, format_rat, is_unit_interval, parse_rat, rat
 from .rv import FiniteProbSpace, RandomVariable, expectation, space_from_json, space_to_json
 from .syntax import (
-    METRIC_SYMBOL,
-    Apply,
-    Atom,
-    Const0,
-    Half,
-    Inf,
-    Monus,
-    Neg,
-    Pred,
-    Signature,
-    Sup,
-    Var,
-    free_variables,
-    term_variables,
-)
+    METRIC_SYMBOL, Atom, Const0, Half, Inf, Monus, Neg, Pred, Signature, Sup, Var)
 
 
 def _tuples(universe, arity):
@@ -163,52 +149,6 @@ class FiniteLStructure:
                     % (kind, name, slot, key, swapped)
                 )
 
-    # ---- evaluation ------------------------------------------------------
-
-    def eval_term(self, t, binding):
-        if isinstance(t, Var):
-            try:
-                return binding[t.name]
-            except KeyError:
-                raise KeyError("unbound variable %r" % (t.name,)) from None
-        if isinstance(t, Apply):
-            args = tuple(self.eval_term(a, binding) for a in t.args)
-            return self.functions[t.func][args]
-        raise TypeError("not a term: %r" % (t,))
-
-    def eval_formula(self, phi, binding):
-        """Exact truth value of the formula in this structure, quantifiers
-        ranging over the universe."""
-        if isinstance(phi, Pred):
-            args = tuple(self.eval_term(a, binding) for a in phi.args)
-            if phi.name == METRIC_SYMBOL:
-                return self.metric[args]
-            return self.predicates[phi.name][args]
-        if isinstance(phi, Const0):
-            return ZERO
-        if isinstance(phi, Neg):
-            return 1 - self.eval_formula(phi.body, binding)
-        if isinstance(phi, Half):
-            return self.eval_formula(phi.body, binding) / 2
-        if isinstance(phi, Monus):
-            a = self.eval_formula(phi.left, binding)
-            b = self.eval_formula(phi.right, binding)
-            return a - b if a > b else ZERO
-        if isinstance(phi, (Inf, Sup)):
-            pick = min if isinstance(phi, Inf) else max
-            inner = dict(binding)
-            best = None
-            for u in self.universe:
-                inner[phi.var] = u
-                v = self.eval_formula(phi.body, inner)
-                best = v if best is None else pick(best, v)
-            return best
-        if isinstance(phi, Atom):
-            raise TypeError(
-                "propositional atom %r has no meaning in a structure" % (phi.name,)
-            )
-        raise TypeError("not a first-order formula: %r" % (phi,))
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteLStructure)
@@ -278,29 +218,131 @@ class Section:
         return "Section(%s)" % (", ".join(self.values))
 
 
-def _check_env(env, family):
+def _positions(phi, env, family, ranging=frozenset()):
+    """Checks phi against family and env, and returns what both evaluation
+    routes read off it: the positions of syntax.subformulas(phi), each one's
+    free variables as a sorted tuple (its table's key order), and the
+    variables ranging over all values (`ranging` and any a quantifier binds;
+    others take their env value).  Raises ValueError (symbol, arity, section
+    family), then KeyError (unbound variable not in `ranging`), then
+    TypeError (propositional atom)."""
+    nodes, pos = syntax.subformulas(phi)
+    family.signature.validate_subformulas(nodes)
     for name, sec in env.items():
         if sec.family != family:
             raise ValueError("section %r belongs to a different family" % (name,))
-
-
-def _require_bound(free, env):
-    missing = sorted(free - set(env))
+    free = syntax.free_variables_at(nodes, pos)
+    missing = sorted(free[-1] - ranging - set(env))
     if missing:
         raise KeyError("unbound variables: %s" % ", ".join(missing))
+    for f in nodes:
+        if type(f) is Atom:
+            raise TypeError(
+                "propositional atom %r has no meaning in a structure" % (f.name,))
+    ranging = ranging.union(f.var for f in nodes if type(f) in (Inf, Sup))
+    return nodes, pos, [tuple(sorted(v)) for v in free], ranging
+
+
+def _keys(names, domain):
+    """Every key over the variables (one value from each one's domain), in
+    the row-major order in which a table lists its values."""
+    return itertools.product(*(domain[v] for v in names))
+
+
+def _rows(names, sub, domain):
+    """For each key over `names`, in order, the row of its restriction to
+    the variables in `sub` in a table over them."""
+    if sub == names:
+        return range(math.prod(len(domain[v]) for v in names))
+    strides, stride = {}, 1
+    for v in reversed(sub):
+        strides[v] = stride
+        stride *= len(domain[v])
+    return map(sum, itertools.product(
+        *([strides.get(v, 0) * i for i in range(len(domain[v]))] for v in names)))
+
+
+def _blocks(names, var, domain):
+    """The rows of a table over `names` that a quantifier on var takes
+    together: a (start, stop, step) slice per key over the other names."""
+    k = names.index(var)
+    step = math.prod(len(domain[v]) for v in names[k + 1:])
+    span = step * len(domain[var])
+    size = span * math.prod(len(domain[v]) for v in names[:k])
+    return [(start, block + span, step) for block in range(0, size, span)
+            for start in range(block, block + step)]
+
+
+def _term_value(t, binding, s):
+    """A term's element of structure s (terms are read recursively)."""
+    if type(t) is Var:
+        return binding[t.name]
+    return s.functions[t.func][tuple(_term_value(a, binding, s) for a in t.args)]
+
+
+def _pointwise(phi, env, family, ranging=frozenset()):
+    """The pointwise route, one pass over phi's positions, children first:
+    at each atom, a position's table holds its values in that atom's
+    structure, its free variables ranging over universe elements, and
+    `inf`/`sup` take the minimum/maximum over the universe.  Returns the
+    root's key names, and each atom's variable domains and root table."""
+    nodes, pos, names, ranging = _positions(phi, env, family, ranging)
+    domains = [  # at each atom, the values each variable takes
+        {**{name: [sec.values[i]] for name, sec in env.items()},
+         **dict.fromkeys(ranging, s.universe)}
+        for i, s in enumerate(family.structures)
+    ]
+    tables = []  # per position, one table per atom
+    for p, f in enumerate(nodes):
+        t = type(f)
+        keyed = names[p]
+        if t is Pred:
+            out = []
+            for s, domain in zip(family.structures, domains):
+                values = s.metric if f.name == METRIC_SYMBOL else s.predicates[f.name]
+                table = []
+                for key in _keys(keyed, domain):
+                    binding = dict(zip(keyed, key))
+                    args = tuple(_term_value(a, binding, s) for a in f.args)
+                    table.append(values[args])
+                out.append(table)
+        elif t is Const0:
+            out = [[ZERO]] * len(domains)
+        elif t is Neg:
+            out = [[1 - v for v in table] for table in tables[pos[id(f.body)]]]
+        elif t is Half:
+            out = [[v / 2 for v in table] for table in tables[pos[id(f.body)]]]
+        elif t is Monus:
+            left, right = pos[id(f.left)], pos[id(f.right)]
+            out = []
+            for domain, lt, rt in zip(domains, tables[left], tables[right]):
+                table = []
+                for i, j in zip(_rows(keyed, names[left], domain),
+                                _rows(keyed, names[right], domain)):
+                    a, b = lt[i], rt[j]
+                    table.append(a - b if a > b else ZERO)
+                out.append(table)
+        else:  # Inf or Sup: over the universe, one atom at a time
+            body = pos[id(f.body)]
+            out = tables[body]  # a body free of the variable is constant
+            if f.var in names[body]:
+                pick = min if t is Inf else max
+                out = []
+                for domain, table in zip(domains, tables[body]):
+                    blocks = _blocks(names[body], f.var, domain)
+                    out.append([pick(table[a:b:c]) for a, b, c in blocks])
+        tables.append(out)
+    return names[-1], domains, tables[-1]
 
 
 def bracket(phi, env, family):
     """The formula's value as a random variable: at each atom, evaluate in
     that atom's structure with quantifiers over its universe."""
-    family.signature.validate_formula(phi)
-    _check_env(env, family)
-    _require_bound(free_variables(phi), env)
-    values = []
-    for i, s in enumerate(family.structures):
-        binding = {name: sec.values[i] for name, sec in env.items()}
-        values.append(s.eval_formula(phi, binding))
-    return RandomVariable(family.space, values)
+    names, domains, tables = _pointwise(phi, env, family)
+    return RandomVariable(family.space, [
+        table[list(_keys(names, domain)).index(tuple(env[v].values[i] for v in names))]
+        for i, (domain, table) in enumerate(zip(domains, tables))
+    ])
 
 
 def _section_vectors(family):
@@ -313,24 +355,16 @@ def all_sections(family):
     return [Section(family, values) for values in _section_vectors(family)]
 
 
-def _scan(phi):
-    """Per position of syntax.subformulas(phi): the subformula's free
-    variables (as a frozenset and as a sorted tuple) and the largest number
-    of `half` nodes on a path from it down to a leaf; and the positions."""
-
-    def facts(free, halvings):
-        return free, tuple(sorted(free)), halvings
-
-    return syntax.fold([phi], {
-        Const0: lambda f: facts(frozenset(), 0),
-        Atom: lambda f: facts(frozenset(), 0),
-        Pred: lambda f: facts(term_variables(*f.args), 0),
-        Neg: lambda f, body: body,
-        Half: lambda f, body: facts(body[0], body[2] + 1),
-        Monus: lambda f, l, r: facts(l[0] | r[0], max(l[2], r[2])),
-        Inf: lambda f, body: facts(body[0] - {f.var}, body[2]),
-        Sup: lambda f, body: facts(body[0] - {f.var}, body[2]),
-    })
+def _per_atom(terms, binding, structures):
+    """The terms' argument tuple at each atom, every variable bound to a
+    section's value tuple (terms are read recursively)."""
+    cols = [
+        binding[t.name] if type(t) is Var else tuple(
+            s.functions[t.func][k]
+            for s, k in zip(structures, _per_atom(t.args, binding, structures)))
+        for t in terms
+    ]
+    return zip(*cols) if cols else [()] * len(structures)
 
 
 def bracket_by_sections(phi, env, family):
@@ -338,100 +372,60 @@ def bracket_by_sections(phi, env, family):
     the connectives act on random variables.
 
     This is still the definition the satisfaction theorem reduces to the
-    pointwise one: every `inf`/`sup` visit iterates over every section of
-    the family and takes the componentwise minimum/maximum of the body's
-    value vectors; no quantifier is split into per-atom extrema.  Within
-    one call the section value tuples are enumerated once, and a
-    subformula's vector is memoised on the section values bound to its free
-    variables, stored only where it does not depend on some enclosing
-    quantifier's variable (so it will be asked for again).  Values are
-    integers scaled by S = L * 2^h, where L is the lcm of the family's
-    metric and predicate denominators and h the largest number of `half`
-    nodes on a root-to-leaf path; as in `kernel`, `neg` is S - v, `half`
-    an exact halving, and the result is rat(v, S).  Nothing outlives the
-    call.  The cost still grows as |sections|^(quantifier nesting), so keep
-    universes and atom counts small.
+    pointwise one: every `inf`/`sup` takes the componentwise minimum/maximum
+    of its body's value vectors over every section of the family; no
+    quantifier is split into per-atom extrema.  One pass over phi's
+    positions, children first, gives each a table of value vectors, its free
+    variables ranging over section value tuples.  Values are integers scaled
+    by S = L * 2^h (L the lcm of the family's metric and predicate
+    denominators, h the number of `half` subformulas): `neg` is S - v,
+    `half` an exact halving, and the result is rat(v, S).  Nothing outlives
+    the call.  A subformula costs |sections|^(its free variables).
     """
-    family.signature.validate_formula(phi)
-    _check_env(env, family)
-    facts, pos = _scan(phi)
-    _require_bound(facts[-1][0], env)
+    nodes, pos, names, ranging = _positions(phi, env, family)
     structures = family.structures
-    n = len(structures)
-    exact = {METRIC_SYMBOL: [s.metric for s in structures]}
-    for name in family.signature.predicates:
-        exact[name] = [s.predicates[name] for s in structures]
-    denominators = {
-        int(v.denominator) for ts in exact.values() for t in ts for v in t.values()
-    }
-    scale = math.lcm(*denominators) << facts[-1][2]
-    tables = {
-        name: [
-            {k: int(v.numerator) * (scale // int(v.denominator)) for k, v in t.items()}
-            for t in ts
-        ]
-        for name, ts in exact.items()
-    }
-    sections = _section_vectors(family)
-    memo = {}
-
-    def per_atom(cols):
-        """The argument tuple at each atom, from one value tuple per slot."""
-        return zip(*cols) if cols else [()] * n
-
-    def term(t, env):
-        if isinstance(t, Var):
-            return env[t.name]
-        keys = per_atom([term(a, env) for a in t.args])
-        return tuple(s.functions[t.func][k] for s, k in zip(structures, keys))
-
-    def walk(f, env, bound):
-        p = pos[id(f)]
-        free, names, _ = facts[p]
-        key = None
-        if not bound <= free:
-            key = (p,) + tuple(env[v] for v in names)
-            got = memo.get(key)
-            if got is not None:
-                return got
-        if isinstance(f, Pred):
-            keys = per_atom([term(t, env) for t in f.args])
-            out = tuple(table[k] for table, k in zip(tables[f.name], keys))
-        elif isinstance(f, Const0):
-            out = (0,) * n
-        elif isinstance(f, Neg):
-            out = tuple(scale - v for v in walk(f.body, env, bound))
-        elif isinstance(f, Half):
-            out = tuple(v >> 1 for v in walk(f.body, env, bound))
-        elif isinstance(f, Monus):
-            left = walk(f.left, env, bound)
-            right = walk(f.right, env, bound)
-            out = tuple(a - b if a > b else 0 for a, b in zip(left, right))
-        elif isinstance(f, (Inf, Sup)):
-            inner = dict(env)
-            inner_bound = bound | {f.var}
-            got = []
-            for values in sections:
-                inner[f.var] = values
-                got.append(walk(f.body, inner, inner_bound))
-            out = tuple(map(min if isinstance(f, Inf) else max, zip(*got)))
-        elif isinstance(f, Atom):
-            raise TypeError(
-                "propositional atom %r has no meaning in a structure" % (f.name,)
-            )
-        else:
-            raise TypeError("not a first-order formula: %r" % (f,))
-        if key is not None:
-            memo[key] = out
-        return out
-
-    try:
-        top = walk(phi, {name: sec.values for name, sec in env.items()}, frozenset())
-    finally:
-        # the closures refer to themselves; breaking that cycle frees the
-        # memo and tables now rather than at the next garbage collection
-        del walk, term
-    return RandomVariable(family.space, [rat(v, scale) for v in top])
+    exact = {name: [s.predicates[name] for s in structures]
+             for name in family.signature.predicates}
+    exact[METRIC_SYMBOL] = [s.metric for s in structures]
+    denominators = {v.denominator for ts in exact.values() for t in ts
+                    for v in t.values()}
+    scale = math.lcm(*denominators) << sum(type(f) is Half for f in nodes)
+    scaled = {name: [{k: v.numerator * (scale // v.denominator) for k, v in t.items()}
+                     for t in ts] for name, ts in exact.items()}
+    domain = {name: [sec.values] for name, sec in env.items()}
+    domain.update(dict.fromkeys(ranging, _section_vectors(family)))
+    tables = []  # per position, its value vectors
+    for p, f in enumerate(nodes):
+        t = type(f)
+        keyed = names[p]
+        if t is Pred:
+            out = [tuple(map(dict.__getitem__, scaled[f.name],
+                             _per_atom(f.args, dict(zip(keyed, key)), structures)))
+                   for key in _keys(keyed, domain)]
+        elif t is Const0:
+            out = [(0,) * len(structures)]
+        elif t is Neg:
+            out = [tuple(scale - v for v in vec) for vec in tables[pos[id(f.body)]]]
+        elif t is Half:
+            out = [tuple(v >> 1 for v in vec) for vec in tables[pos[id(f.body)]]]
+        elif t is Monus:
+            left, right = pos[id(f.left)], pos[id(f.right)]
+            lt, rt = tables[left], tables[right]
+            out = [
+                tuple(a - b if a > b else 0 for a, b in zip(lt[i], rt[j]))
+                for i, j in zip(_rows(keyed, names[left], domain),
+                                _rows(keyed, names[right], domain))
+            ]
+        else:  # Inf or Sup: over every section, componentwise
+            body = pos[id(f.body)]
+            out = tables[body]  # a body free of the variable is constant
+            if f.var in names[body]:
+                pick = min if t is Inf else max
+                out = [tuple(map(pick, zip(*tables[body][a:b:c])))
+                       for a, b, c in _blocks(names[body], f.var, domain)]
+        tables.append(out)
+    root = list(_keys(names[-1], domain)).index(tuple(env[v].values for v in names[-1]))
+    return RandomVariable(family.space, [rat(v, scale) for v in tables[-1][root]])
 
 
 def distance(a, b, family):
@@ -517,20 +511,12 @@ def inf_witness(phi, var, env, family, epsilon=ZERO):
     element."""
     if rat(epsilon) < 0:
         raise ValueError("epsilon must be >= 0")
-    family.signature.validate_formula(phi)
-    _check_env(env, family)
-    _require_bound(free_variables(phi) - {var}, env)
+    names, domains, tables = _pointwise(phi, env, family, frozenset([var]))
     values = []
-    for i, s in enumerate(family.structures):
-        binding = {name: sec.values[i] for name, sec in env.items()}
-        best_u = None
-        best_v = None
-        for u in s.universe:
-            binding[var] = u
-            v = s.eval_formula(phi, binding)
-            if best_v is None or v < best_v:
-                best_u, best_v = u, v
-        values.append(best_u)
+    for i, (s, domain, table) in enumerate(zip(family.structures, domains, tables)):
+        keys = list(_keys(names, domain))
+        values.append(min(s.universe, key=lambda u: table[keys.index(tuple(
+            u if v == var else env[v].values[i] for v in names))]))
     return Section(family, values)
 
 

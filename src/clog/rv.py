@@ -168,7 +168,7 @@ def rv_eval(term, env, space):
         except KeyError:
             raise KeyError("unbound variable %r" % (f.name,)) from None
 
-    values, _ = syntax.fold([term], {
+    values = syntax.fold(*syntax.subformulas(term), {
         syntax.Const0: lambda f: (ZERO,) * len(space),
         Atom: atom,
         Neg: lambda f, v: tuple(ONE - x for x in v),

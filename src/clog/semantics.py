@@ -37,7 +37,7 @@ def evaluate(formula, assignment):
             raise ValueError("atom %r outside [0,1]: %s" % (f.name, v))
         return v
 
-    values, _ = syntax.fold([formula], {
+    values = syntax.fold(*syntax.subformulas(formula), {
         syntax.Const0: lambda f: ZERO,
         syntax.Atom: atom,
         syntax.Neg: lambda f, v: ONE - v,
@@ -50,7 +50,8 @@ def evaluate(formula, assignment):
 def _formula_ir(formulas):
     """Shared piecewise-linear IR for several formulas (common subformulas
     become the same IR node, so their branches are enumerated once)."""
-    ir, pos = syntax.fold(formulas, {
+    nodes, pos = syntax.subformulas(*formulas)
+    ir = syntax.fold(nodes, pos, {
         syntax.Const0: lambda f: PLAffine(Affine.constant(0)),
         syntax.Atom: lambda f: PLAffine(Affine.variable(f.name)),
         syntax.Neg: lambda f, v: PLComb([(-ONE, v)], ONE),
@@ -241,13 +242,7 @@ def entails_witness(premises, goal, cap=DEFAULT_WITNESS_CAP, budget=None):
 def unsat_witness(premises, cap=DEFAULT_WITNESS_CAP, budget=None):
     """Smallest n <= cap making 1 - n*p_0 - ... - n*p_{k-1} valid, or None.
 
-    Such an n certifies that the premises have no common zero.
+    Such an n certifies that the premises have no common zero: it is the
+    entailment witness for the goal 1.
     """
-    premises = list(premises)
-    for n in range(cap + 1):
-        f = syntax.one()
-        for p in premises:
-            f = syntax.monus_chain(f, n, p)
-        if is_valid(f, budget=budget)[0]:
-            return n
-    return None
+    return entails_witness(premises, syntax.one(), cap=cap, budget=budget)

@@ -28,11 +28,12 @@ parse(print(f)) == f.
 
 `subformulas` is the one traversal of the formula DAG: it keeps an explicit
 stack and identifies structurally equal subformulas by position, never by
-hashing a node (which hashes its whole subtree); `fold` interprets formulas
-and `rebuild` rewrites them over it.  These, the parser and the printer
-(which walks the tree, as large as its output) use no Python recursion, so
-propositional formulas may nest to any depth; terms, and the first-order
-evaluators whose quantifiers re-enter their body, still recurse.
+hashing a node (which hashes its whole subtree); `fold` interprets formulas,
+`free_variables_at` gives each position's free variables and `rebuild`
+rewrites formulas over it.  These, the parser and the printer (which walks
+the tree, as large as its output) use no Python recursion, and both
+first-order evaluation routes in `randomisation` are passes over positions,
+so formulas of either kind may nest to any depth; only terms still recurse.
 """
 
 from dataclasses import dataclass
@@ -228,15 +229,14 @@ def subformulas(*roots):
     return order, pos
 
 
-def fold(roots, algebra):
+def fold(nodes, pos, algebra):
     """Interpret formulas bottom-up, once per distinct subformula.
 
-    algebra maps a node type to a function of the node and its children's
-    values (body, or left and right).  Returns the value at every position
-    of subformulas(*roots) and that call's positions; a single root's value
-    is the last.  A node whose type the algebra lacks raises TypeError.
+    nodes and pos come from subformulas(*roots).  algebra maps a node type
+    to a function of the node and its children's values (body, or left and
+    right).  Returns the value at every position; a single root's value is
+    the last.  A node whose type the algebra lacks raises TypeError.
     """
-    nodes, pos = subformulas(*roots)
     values = []
     for f in nodes:
         t = type(f)
@@ -249,7 +249,7 @@ def fold(roots, algebra):
             values.append(visit(f, values[pos[id(f.body)]]))
         else:
             values.append(visit(f))
-    return values, pos
+    return values
 
 
 _OPEN = object()  # a rebuild position whose children are still being rebuilt
@@ -332,19 +332,27 @@ def term_variables(*terms):
     ))
 
 
+_FREE_VARIABLES = {
+    Const0: lambda f: frozenset(),
+    Atom: lambda f: frozenset(),
+    Pred: lambda f: term_variables(*f.args),
+    Neg: lambda f, body: body,
+    Half: lambda f, body: body,
+    Monus: lambda f, left, right: left | right,
+    Inf: lambda f, body: body - {f.var},
+    Sup: lambda f, body: body - {f.var},
+}
+
+
+def free_variables_at(nodes, pos):
+    """The free term variables (a frozenset) at every position of
+    subformulas(...); a node that is no formula raises TypeError."""
+    return fold(nodes, pos, _FREE_VARIABLES)
+
+
 def free_variables(formula):
     """Free term variables of a first-order formula."""
-    free, _ = fold([formula], {
-        Const0: lambda f: frozenset(),
-        Atom: lambda f: frozenset(),
-        Pred: lambda f: term_variables(*f.args),
-        Neg: lambda f, body: body,
-        Half: lambda f, body: body,
-        Monus: lambda f, left, right: left | right,
-        Inf: lambda f, body: body - {f.var},
-        Sup: lambda f, body: body - {f.var},
-    })
-    return set(free[-1])
+    return set(free_variables_at(*subformulas(formula))[-1])
 
 
 # --- signatures ----------------------------------------------------------------
@@ -390,7 +398,11 @@ class Signature:
 
     def validate_formula(self, formula):
         """Check arities and that every symbol is declared; raise ValueError."""
-        for f in subformulas(formula)[0]:
+        self.validate_subformulas(subformulas(formula)[0])
+
+    def validate_subformulas(self, nodes):
+        """validate_formula, given the formula's subformulas(...) nodes."""
+        for f in nodes:
             if type(f) is Pred:
                 if f.name == METRIC_SYMBOL:
                     if len(f.args) != 2:

@@ -441,6 +441,16 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         rc, out = run(capsys, argv + ["--samples", str(cap + 1)])
         assert rc == 1
         assert json.loads(out)["error"].startswith("--samples is at most %d " % cap)
+    # a space with more atoms than the defect search is allowed
+    six = rv.RandomVariable(
+        rv.FiniteProbSpace.uniform(["a%d" % i for i in range(6)]),
+        [rat(i, 5) for i in range(6)])
+    paths["six"] = tmp_path / "six.json"
+    paths["six"].write_text(json.dumps(rv.rv_to_json(six)))
+    rc, out = run(capsys, ["rv", "arv-defect", str(paths["six"])])
+    assert rc == 1
+    assert json.loads(out)["error"].startswith(
+        "rv arv-defect takes at most %d atoms " % cli.MAX_ARV_ATOMS)
     # the subset bound is refused before the instance is even read
     rc, out = run(capsys, ["hall", "/nonexistent.json", "--bound", "21"])
     assert rc == 1
@@ -486,17 +496,34 @@ def test_deeply_nested_formulas(capsys, tmp_path):
 
 
 def test_first_order_nesting_beyond_the_stack(capsys, tmp_path):
-    """First-order evaluation still recurses; too deep a formula is one
-    clean error line."""
+    """First-order formulas nest to any depth: both routes answer on 5,000
+    nested `neg`, each run well within 10 s."""
     readme = (ROOT / "README.md").read_text()
     (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
     family = tmp_path / "family.json"
     family.write_text(example)
-    rc, out = run(
-        capsys,
-        ["rand", "eval", str(family), "-e", "neg " * 5000 + "inf x. P(x)"],
-    )
+    cases = [
+        (["rand", "eval"], 5000, '"values":["1/4","1/2"]}'),
+        (["rand", "eval"], 5001, '"values":["3/4","1/2"]}'),
+        (["rand", "los"], 5000, '"lhs":"3/8","rhs":"3/8","equal":true}'),
+    ]
+    for cmd, depth, tail in cases:
+        started = time.monotonic()
+        rc, out = run(
+            capsys, cmd + [str(family), "-e", "neg " * depth + "inf x. P(x)"])
+        assert time.monotonic() - started < 10
+        assert rc == 0
+        assert out == '{"cmd":"%s","status":"ok",%s\n' % (" ".join(cmd), tail)
+
+
+def test_json_nested_beyond_the_stack(capsys, tmp_path):
+    """JSON files are still read recursively: one nested past the stack is
+    one clean error line."""
+    family = tmp_path / "family.json"
+    family.write_text("[" * 100_000)
+    rc, out = run(capsys, ["rand", "eval", str(family), "-e", "inf x. P(x)"])
     assert rc == 1
+    assert out.count("\n") == 1
     report = json.loads(out)
     assert report["status"] == "fail" and "recursion" in report["error"]
 

@@ -186,11 +186,21 @@ def test_walkers_never_hash_or_compare_nodes(monkeypatch):
     """The formula walkers identify subformulas by position, never by
     hashing a node or comparing two nodes: with both disabled on every node
     class they give the same answers."""
-    from clog import proofs, rv, semantics
+    from clog import proofs, randomisation, rv, semantics
     from clog.rationals import rat
 
     sig = Signature(functions={"f": [1, 1], "c": []}, predicates={"P": [1]})
     sp = rv.FiniteProbSpace.uniform(["a", "b"])
+    family = randomisation.RandomFamily(sp, [
+        randomisation.FiniteLStructure(
+            sig, ["u", "v"], predicates={"P": {("u",): rat(1, 4), ("v",): rat(1, 2)}},
+            functions={"f": {(a, b): "u" for a in "uv" for b in "uv"},
+                       "c": {(): "v"}},
+            metric=[[0, rat(1, 2)], [rat(1, 2), 0]]),
+        randomisation.FiniteLStructure(
+            sig, ["w"], predicates={"P": {("w",): rat(1, 3)}},
+            functions={"f": {("w", "w"): "w"}, "c": {(): "w"}}),
+    ])
     env = {"p": rv.RandomVariable(sp, [rat(1, 3), rat(1)]),
            "q": rv.RandomVariable(sp, [rat(1, 2), rat(0)])}
 
@@ -216,6 +226,10 @@ def test_walkers_never_hash_or_compare_nodes(monkeypatch):
             [print_formula(f) for f in elim.fresh.values()],
             print_formula(A("( |p - 2^-2| (+) (p \\/ q) )")),
             print_formula(lf),
+            randomisation.bracket(lf, {}, family).values,
+            randomisation.bracket_by_sections(lf, {}, family).values,
+            randomisation.inf_witness(lf.body, "x", {}, family).values,
+            randomisation.los_check(lf, {}, family),
         ]
 
     expected = answers()
