@@ -8,9 +8,16 @@ expression.  A term with k split nodes has at most 2^k sign vectors but only
 polynomially many feasible cells (a hyperplane arrangement), so the sides
 are explored depth-first with the current constraint set checked for
 feasibility at every step: first against a witness point carried along the
-search, then (on a miss) with an exact rational LP.  Shared subterms appear
-once in the traversal order, so a repeated subformula is resolved
-consistently instead of multiplying cells.
+search, then (on a miss) with an exact rational LP.
+
+A term is given as a list of nodes in the order they were built, children
+before parents, each naming its children by position in the list; the
+search walks that list as it is.  A shared subterm is one node, so a
+repeated subformula is resolved consistently instead of multiplying cells.
+No feasibility answer is cached: the constraint sets one search tries are
+pairwise distinct, since two paths differ at the hyperplane where they
+split, and a later node on that hyperplane is forced without adding a
+constraint.
 """
 
 import math
@@ -89,13 +96,7 @@ class Affine:
 
 
 # --- term IR -----------------------------------------------------------------
-
-class PLAffine:
-    __slots__ = ("affine",)
-
-    def __init__(self, affine):
-        self.affine = affine
-
+# A leaf is an Affine; the other nodes name their children by position.
 
 class PLComb:
     """Linear combination sum(k_i * node_i) + const."""
@@ -126,40 +127,11 @@ class Cell:
         self.point = point  # a feasible point (dict), or None if not yet known
 
 
-def _children(node):
-    if isinstance(node, PLAffine):
-        return ()
-    if isinstance(node, PLComb):
-        return tuple(t for _, t in node.terms)
-    return (node.left, node.right)
-
-
-def _topo_order(roots):
-    """Every reachable node once, children strictly before parents."""
-    order = []
-    seen = set()
-    stack = [(r, False) for r in reversed(roots)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for child in reversed(_children(node)):
-            if id(child) not in seen:
-                stack.append((child, False))
-    return order
-
-
 class CellEnumerator:
     """Enumerates feasible cells of piecewise-linear terms over [0,1]^vars."""
 
     def __init__(self, variables):
         self.variables = list(variables)
-        self._feas_cache = {}
         center = rat(1, 2)
         self._center = {v: center for v in self.variables}
 
@@ -177,11 +149,6 @@ class CellEnumerator:
 
     def feasible_point(self, constraints):
         """A point of the cell (plus unit box), or None."""
-        key = frozenset(constraints)
-        try:
-            return self._feas_cache[key]
-        except KeyError:
-            pass
         # cheap single-variable interval screen before the LP
         lo = {v: ZERO for v in self.variables}
         hi = {v: ONE for v in self.variables}
@@ -198,60 +165,56 @@ class CellEnumerator:
                 ok = False
         if ok and any(lo[v] > hi[v] for v in self.variables):
             ok = False
-        point = None
-        if ok:
-            mid = {v: (lo[v] + hi[v]) / 2 for v in self.variables}
-            if all(aff.evaluate(mid) >= 0 for aff in constraints.values()):
-                point = mid
-            else:
-                res = solve_lp(len(self.variables), self._lp_rows(constraints))
-                if res.status == OPTIMAL:
-                    point = dict(zip(self.variables, res.point))
-        self._feas_cache[key] = point
-        return point
+        if not ok:
+            return None
+        mid = {v: (lo[v] + hi[v]) / 2 for v in self.variables}
+        if all(aff.evaluate(mid) >= 0 for aff in constraints.values()):
+            return mid
+        res = solve_lp(len(self.variables), self._lp_rows(constraints))
+        return dict(zip(self.variables, res.point)) if res.status == OPTIMAL else None
 
     # ---- enumeration ----------------------------------------------------
 
-    def iter_cells(self, nodes):
-        """Yield the feasible cells on which every listed term is affine.
+    def iter_cells(self, term):
+        """Yield the feasible cells on which every root term is affine.
 
-        Each yielded Cell carries one value per entry of `nodes` and a point
-        inside the cell (which certifies it nonempty).  Cells are closed, so
-        they overlap on boundaries; over each cell the value affines agree
-        with the terms everywhere, boundaries included.
+        `term` is (nodes, roots): the IR nodes, children before parents, and
+        the positions of the roots among them.  Each yielded Cell carries one
+        value per root and a point inside the cell (which certifies it
+        nonempty).  Cells are closed, so they overlap on boundaries; over
+        each cell the value affines agree with the terms everywhere,
+        boundaries included.
         """
-        roots = list(nodes)
-        order = _topo_order(roots)
-        values = {}  # id(node) -> Affine under the current sign choices
+        nodes, roots = term
+        values = [None] * len(nodes)  # each Affine under the current sides
         constraints = {}  # key -> Affine (each meaning affine >= 0)
 
         def walk(i, point):
-            while i < len(order):
-                n = order[i]
-                if isinstance(n, PLAffine):
-                    values[id(n)] = n.affine
-                elif isinstance(n, PLComb):
+            while i < len(nodes):
+                n = nodes[i]
+                t = type(n)
+                if t is Affine:
+                    values[i] = n
+                elif t is PLComb:
                     total = Affine.constant(n.const)
-                    for k, t in n.terms:
-                        total = total.plus(values[id(t)].scale(rat(k)))
-                    values[id(n)] = total
+                    for k, j in n.terms:
+                        total = total.plus(values[j].scale(rat(k)))
+                    values[i] = total
                 else:
                     break
                 i += 1
             else:
                 yield Cell(
-                    dict(constraints),
-                    tuple(values[id(r)] for r in roots),
-                    point,
+                    dict(constraints), tuple(values[r] for r in roots), point
                 )
                 return
-            node = order[i]  # a PLMonus: zero where diff <= 0, else diff
-            diff = values[id(node.left)].minus(values[id(node.right)])
+            node = nodes[i]  # a PLMonus: zero where diff <= 0, else diff
+            diff = values[node.left].minus(values[node.right])
             neg = diff.scale(-ONE)
             sides = ((neg, Affine.constant(0)), (diff, diff))
             if not diff.coeffs:  # constant difference: the side is forced
                 _, value = sides[0] if diff.const <= 0 else sides[1]
-                values[id(node)] = value
+                values[i] = value
                 yield from walk(i + 1, point)
                 return
             keys = (neg.key(), diff.key())
@@ -261,7 +224,7 @@ class CellEnumerator:
                     # this path; the opposite side would only retrace the
                     # boundary, where both sides take equal values anyway
                     _, value = sides[si]
-                    values[id(node)] = value
+                    values[i] = value
                     yield from walk(i + 1, point)
                     return
             at_point = diff.evaluate(point)
@@ -277,7 +240,7 @@ class CellEnumerator:
                     if newpoint is None:
                         continue
                 constraints[key] = guard
-                values[id(node)] = value
+                values[i] = value
                 yield from walk(i + 1, newpoint)
                 del constraints[key]
 
@@ -285,14 +248,15 @@ class CellEnumerator:
 
     # ---- optimisation ----------------------------------------------------
 
-    def maximum(self, node, limit):
-        """(maximum of the term over the box, a point attaining it).
+    def maximum(self, nodes, limit):
+        """(maximum of the last node's term over the box, a point attaining
+        it); `nodes` as in iter_cells.
 
         The search stops as soon as the best value found reaches `limit`,
         which the caller passes as an upper bound the term cannot exceed.
         """
         best, best_point = None, None
-        for cell in self.iter_cells([node]):
+        for cell in self.iter_cells((nodes, [len(nodes) - 1])):
             value = cell.values[0]
             if best is not None and value.box_max() <= best:
                 continue

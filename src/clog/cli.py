@@ -22,7 +22,7 @@ import sys
 
 from . import hall as hall_mod
 from . import proofs, randomisation, rv, semantics, syntax
-from .rationals import ZERO, format_rat, parse_rat, rat
+from .rationals import format_rat, parse_rat, rat
 
 DEFAULT_BRANCH_BUDGET = 24
 # rv tauphi loops 2^n times at stage n; 16 takes a few seconds
@@ -34,6 +34,9 @@ MAX_RV_SAMPLES = 24
 MAX_RAND_SAMPLES = 128
 # rv arv-defect's cell search grows about 4.5x per atom; 5 atoms take seconds
 MAX_ARV_ATOMS = 5
+# rand axioms' R3 check doubles per atom; at 128 samples on 3-element
+# universes 5 atoms took about 6 s and 6 atoms 11 s on 2 vCPUs
+MAX_RAND_AXIOM_ATOMS = 5
 
 
 def _budget():
@@ -308,6 +311,10 @@ def _cmd_rand_axioms(args, parser):
             "--samples is at most %d (the check is quadratic in it)"
             % MAX_RAND_SAMPLES)
     family = randomisation.family_from_json(_load_json(args.family))
+    if len(family.space) > MAX_RAND_AXIOM_ATOMS:
+        raise ValueError(
+            "rand axioms takes at most %d atoms (R3 checks all 2^n events per "
+            "sample pair)" % MAX_RAND_AXIOM_ATOMS)
     rng = random.Random(args.seed)
     sections = []
     for _ in range(args.samples):
@@ -376,8 +383,7 @@ def _cmd_rand_inf_witness(args, parser):
     (text,) = _read_formulas(args, parser)
     phi = syntax.parse_lformula(text)
     env = _parse_sections(family, args.section)
-    epsilon = parse_rat(args.epsilon) if args.epsilon is not None else ZERO
-    sec = randomisation.inf_witness(phi, args.var, env, family, epsilon)
+    sec = randomisation.inf_witness(phi, args.var, env, family)
     bound = dict(env)
     bound[args.var] = sec
     at = randomisation.bracket(phi, bound, family)
@@ -546,12 +552,11 @@ def _build_parser():
     p.set_defaults(handler=_cmd_rand_type_measure, echo="rand type-measure")
 
     p = rand_sub.add_parser("inf-witness",
-                            help="section nearly attaining an inf")
+                            help="section attaining an inf at every atom")
     p.add_argument("family", help="random family JSON file")
     _formula_arg(p)
     p.add_argument("--var", required=True, help="the quantified variable")
     p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
-    p.add_argument("--epsilon", metavar="P/Q", help="slack (default 0)")
     p.set_defaults(handler=_cmd_rand_inf_witness, echo="rand inf-witness")
 
     p = sub.add_parser("hall",

@@ -504,13 +504,10 @@ def check_R_axioms(family, sections):
     }
 
 
-def inf_witness(phi, var, env, family, epsilon=ZERO):
+def inf_witness(phi, var, env, family):
     """A section achieving the inner infimum of phi over the distinguished
-    variable at every atom (the finite case needs no epsilon slack, but the
-    tolerance stays in the contract); ties go to the earlier universe
-    element."""
-    if rat(epsilon) < 0:
-        raise ValueError("epsilon must be >= 0")
+    variable at every atom (universes are finite, so the infimum is
+    attained); ties go to the earlier universe element."""
     names, domains, tables = _pointwise(phi, env, family, frozenset([var]))
     values = []
     for i, (s, domain, table) in enumerate(zip(family.structures, domains, tables)):

@@ -11,7 +11,7 @@ random variables: each propositional atom names an RV and the connectives
 act pointwise (rv_eval).
 """
 
-from .branches import Affine, CellEnumerator, PLAffine, PLComb, PLMonus
+from .branches import Affine, CellEnumerator, PLComb, PLMonus
 from .rationals import HALF, ONE, ZERO, format_rat, is_unit_interval, parse_rat, rat
 from . import syntax
 from .syntax import Atom, Half, Monus, Neg, conj
@@ -294,11 +294,6 @@ def check_rv_axioms(space, samples):
 # --- atomlessness defect ----------------------------------------------------------
 
 
-def _min(a, b):
-    """min(a, b) = a - max(0, a - b) as a piecewise-linear term."""
-    return PLComb([(1, a), (-1, PLMonus(a, b))])
-
-
 def arv_defect(space, x, with_witness=False):
     """Exact infimum over random variables y of
     max(E(y and not-y), |E(y and x) - E(x)/2|).
@@ -312,28 +307,37 @@ def arv_defect(space, x, with_witness=False):
     if x.space != space:
         raise ValueError("random variable on a different space")
     variables = ["y%d" % i for i in range(len(space))]
+    nodes = []  # the term's IR, children before parents
+
+    def add(node):
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def min_(a, b):  # min(a, b) = a - max(0, a - b)
+        return add(PLComb([(1, a), (-1, add(PLMonus(a, b)))]))
+
     # E(y and not-y) = sum_i w_i * min(y_i, 1 - y_i)
     balance_terms = []
     for i, w in enumerate(space.weights):
-        y_i = Affine.variable(variables[i])
-        neg_y_i = Affine({variables[i]: -ONE}, ONE)
-        balance_terms.append((w, _min(PLAffine(y_i), PLAffine(neg_y_i))))
-    balance = PLComb(balance_terms, ZERO)
+        y_i = add(Affine.variable(variables[i]))
+        neg_y_i = add(Affine({variables[i]: -ONE}, ONE))
+        balance_terms.append((w, min_(y_i, neg_y_i)))
+    balance = add(PLComb(balance_terms, ZERO))
     # |E(y and x) - E(x)/2| = |sum_i w_i * min(y_i, x_i) - E(x)/2|
     half_mass_terms = []
     for i, w in enumerate(space.weights):
-        y_i = PLAffine(Affine.variable(variables[i]))
-        x_i = PLAffine(Affine.constant(x.values[i]))
-        half_mass_terms.append((w, _min(y_i, x_i)))
-    centred = PLComb(half_mass_terms, -(expectation(x) * HALF))
+        y_i = add(Affine.variable(variables[i]))
+        x_i = add(Affine.constant(x.values[i]))
+        half_mass_terms.append((w, min_(y_i, x_i)))
+    centred = add(PLComb(half_mass_terms, -(expectation(x) * HALF)))
     # |c| = -c + 2 max(0, c), and max(a, b) = max(0, a - b) + b
-    zero = PLAffine(Affine.constant(0))
-    modulus = PLComb([(-1, centred), (2, PLMonus(centred, zero))])
-    objective = PLComb([(1, PLMonus(balance, modulus)), (1, modulus)])
+    zero = add(Affine.constant(0))
+    modulus = add(PLComb([(-1, centred), (2, add(PLMonus(centred, zero)))]))
+    objective = add(PLComb([(1, add(PLMonus(balance, modulus))), (1, modulus)]))
 
     # the minimum is the negated maximum of -objective, which is at most 0
-    enum = CellEnumerator(variables)
-    best, best_point = enum.maximum(PLComb([(-1, objective)]), ZERO)
+    add(PLComb([(-1, objective)]))
+    best, best_point = CellEnumerator(variables).maximum(nodes, ZERO)
     witness = RandomVariable(space, [best_point[v] for v in variables])
     if with_witness:
         return -best, witness

@@ -7,13 +7,20 @@ with a rational LP on each (see clog.branches).  An integer grid pre-pass
 (clog.kernel) short-circuits most refutations with an exact counterexample
 before any LP runs.
 
+Each entry point traverses its formulas once, with syntax.subformulas, and
+reads the budget count, the atom order and the cell IR off that one result.
+is_valid also abstracts repeated subformulas away and traverses the
+resulting skeleton once more.
+
 Conventions: an assignment maps atom names to rationals in [0,1]; a formula
 is valid iff its value is 0 under every assignment; a set of formulas entails
 a goal iff every assignment making all premises 0 makes the goal 0.
 """
 
+import itertools
+
 from . import syntax
-from .branches import Affine, CellEnumerator, PLAffine, PLComb, PLMonus
+from .branches import Affine, CellEnumerator, PLComb, PLMonus
 from .kernel import KernelUnsupported, grid_max
 from .rationals import ZERO, ONE, HALF, rat, is_unit_interval
 
@@ -47,44 +54,52 @@ def evaluate(formula, assignment):
     return values[-1]
 
 
-def _formula_ir(formulas):
-    """Shared piecewise-linear IR for several formulas (common subformulas
-    become the same IR node, so their branches are enumerated once)."""
-    nodes, pos = syntax.subformulas(*formulas)
-    ir = syntax.fold(nodes, pos, {
-        syntax.Const0: lambda f: PLAffine(Affine.constant(0)),
-        syntax.Atom: lambda f: PLAffine(Affine.variable(f.name)),
-        syntax.Neg: lambda f, v: PLComb([(-ONE, v)], ONE),
-        syntax.Half: lambda f, v: PLComb([(HALF, v)], ZERO),
-        syntax.Monus: lambda f, a, b: PLMonus(a, b),
-    })
-    return [ir[pos[id(f)]] for f in formulas]
-
-
-def check_budget(formulas, budget):
-    """Raise BudgetExceeded if the shared Monus-node count exceeds budget."""
+def _check_budget(nodes, budget):
+    """Raise BudgetExceeded if the distinct Monus nodes exceed the budget."""
     if budget is None:
         return
-    total = syntax.monus_count(*formulas)
+    total = sum(type(f) is syntax.Monus for f in nodes)
     if total > budget:
         raise BudgetExceeded(
             "formula set has %d branching nodes, budget is %d" % (total, budget)
         )
 
 
-def _abstract_shared(formula):
+def _traverse(formulas, budget=None):
+    """The one traversal of a decision call: subformulas(*formulas) as
+    (nodes, pos), and the sorted atom names, after the budget check."""
+    nodes, pos = syntax.subformulas(*formulas)
+    _check_budget(nodes, budget)
+    return nodes, pos, sorted({f.name for f in nodes if type(f) is syntax.Atom})
+
+
+def _ir(nodes, pos):
+    """The cell IR of subformulas(...) positions: one node per position,
+    naming its children by position, so common subformulas become one node
+    and their branches are enumerated once."""
+    return syntax.fold(nodes, pos, {
+        syntax.Const0: lambda f: Affine.constant(0),
+        syntax.Atom: lambda f: Affine.variable(f.name),
+        syntax.Neg: lambda f, v: PLComb([(-ONE, pos[id(f.body)])], ONE),
+        syntax.Half: lambda f, v: PLComb([(HALF, pos[id(f.body)])], ZERO),
+        syntax.Monus: lambda f, a, b: PLMonus(pos[id(f.left)], pos[id(f.right)]),
+    })
+
+
+def _abstract_shared(formula, nodes, pos, atoms):
     """The formula with every repeated subtraction subformula replaced by a
-    fresh atom (the same atom at all its occurrences), and the number of
-    replacements made.
+    fresh atom (the same atom at all its occurrences), or None if no
+    subtraction repeats; nodes, pos and atoms come from _traverse.
 
     Validity of the result implies validity of the input: under any
     assignment of the original atoms, giving each fresh atom the value of
     the subformula it stands for (a value in [0,1]) makes both formulas
-    evaluate alike.  The converse fails, so a non-valid result says nothing.
-    Only subtraction nodes are replaced; neg and half are affine and
-    contribute no branching worth hiding.
+    evaluate alike.  That needs the fresh atoms to be new: they are named
+    #0, #1, ..., skipping the formula's own atom names.  The converse fails,
+    so a non-valid result says nothing.  Only subtraction nodes are
+    replaced; neg and half are affine and contribute no branching worth
+    hiding.
     """
-    nodes, pos = syntax.subformulas(formula)
     occ = [0] * len(nodes)  # occurrences in the formula's tree
     occ[-1] = 1
     for p in range(len(nodes) - 1, -1, -1):  # parents before children
@@ -95,16 +110,18 @@ def _abstract_shared(formula):
         elif t is syntax.Monus:
             occ[pos[id(f.left)]] += n
             occ[pos[id(f.right)]] += n
-    fresh = []
+    if all(occ[p] < 2 for p, f in enumerate(nodes) if type(f) is syntax.Monus):
+        return None
+    taken = set(atoms)
+    fresh = (name for name in map("#{}".format, itertools.count())
+             if name not in taken)
 
     def swap(f, p):
         if type(f) is syntax.Monus and occ[p] >= 2:
-            fresh.append(syntax.Atom("#%d" % len(fresh)))
-            return fresh[-1]
+            return syntax.Atom(next(fresh))
         return None
 
-    (skeleton,) = syntax.rebuild([formula], pos, swap)
-    return skeleton, len(fresh)
+    return syntax.rebuild([formula], pos, swap)[0]
 
 
 class BranchCell:
@@ -120,30 +137,27 @@ class BranchCell:
 
 def enumerate_branches(formula, budget=None):
     """All feasible affine cells of the formula over its atom box."""
-    check_budget([formula], budget)
-    atoms = syntax.atom_names(formula)
-    enum = CellEnumerator(atoms)
-    (node,) = _formula_ir([formula])
+    nodes, pos, atoms = _traverse([formula], budget)
+    cells = CellEnumerator(atoms).iter_cells((_ir(nodes, pos), [len(nodes) - 1]))
     return [
         BranchCell(list(c.constraints.values()), c.values[0], c.point)
-        for c in enum.iter_cells([node])
+        for c in cells
     ]
 
 
 def sup_value(formula, budget=None):
     """(exact supremum over the unit box, witnessing assignment)."""
-    check_budget([formula], budget)
-    enum = CellEnumerator(syntax.atom_names(formula))
-    (node,) = _formula_ir([formula])
-    return enum.maximum(node, ONE)  # no formula exceeds 1
+    nodes, pos, atoms = _traverse([formula], budget)
+    # no formula exceeds 1
+    return CellEnumerator(atoms).maximum(_ir(nodes, pos), ONE)
 
 
-def _refute(goal, premises, atoms):
-    """The first point found where every premise is 0 and the goal is
-    positive, or None if there is none; assumes the budget is checked."""
+def _refute(atoms, term):
+    """The first point found where every root but the first is 0 and the
+    first is positive, or None if there is none; term is (IR nodes, root
+    positions) as CellEnumerator.iter_cells takes it."""
     enum = CellEnumerator(atoms)
-    nodes = _formula_ir([goal] + premises)
-    for cell in enum.iter_cells(nodes):
+    for cell in enum.iter_cells(term):
         goal_value = cell.values[0]
         if goal_value.box_max() <= 0:
             continue
@@ -177,21 +191,19 @@ def is_valid(formula, budget=None):
     The counterexample assignment is exact and gives the formula a positive
     value (not necessarily the supremum).
     """
-    check_budget([formula], budget)
-    atoms = syntax.atom_names(formula)
+    nodes, pos, atoms = _traverse([formula], budget)
     # integer grid pre-pass: a positive grid point is already an exact refutation
     point = _grid_refute(formula, atoms)
     if point is not None:
         return False, point
     # abstraction pre-pass: hiding repeated subformulas behind fresh atoms
     # keeps the cell count tiny, and validity of the abstraction carries over
-    skeleton, replaced = _abstract_shared(formula)
-    if replaced:
-        sk_atoms = syntax.atom_names(skeleton)
-        if _grid_refute(skeleton, sk_atoms) is None:
-            if _refute(skeleton, [], sk_atoms) is None:
-                return True, None
-    point = _refute(formula, [], atoms)
+    skeleton = _abstract_shared(formula, nodes, pos, atoms)
+    if skeleton is not None:
+        sk_nodes, sk_pos, sk_atoms = _traverse([skeleton])
+        if _refute(sk_atoms, (_ir(sk_nodes, sk_pos), [len(sk_nodes) - 1])) is None:
+            return True, None
+    point = _refute(atoms, (_ir(nodes, pos), [len(nodes) - 1]))
     return point is None, point
 
 
@@ -204,8 +216,11 @@ def is_satisfiable(formulas, budget=None):
     formulas = list(formulas)
     if not formulas:
         return True
-    check_budget(formulas, budget)
-    return _refute(syntax.one(), formulas, syntax.atom_names(*formulas)) is not None
+    nodes, pos, atoms = _traverse(formulas, budget)
+    # the goal, constant 1, is one leaf: none of its nodes is charged
+    ir = _ir(nodes, pos) + [Affine.constant(1)]
+    roots = [len(nodes)] + [pos[id(f)] for f in formulas]
+    return _refute(atoms, (ir, roots)) is not None
 
 
 def entails_semantic(premises, goal, budget=None):
@@ -216,10 +231,16 @@ def entails_semantic(premises, goal, budget=None):
     Only finite premise lists are accepted.
     """
     premises = list(premises)
-    if not syntax.is_propositional(*premises):
+    roots = [goal] + premises
+    nodes, pos, atoms = _traverse(roots)
+    # the premises need a traversal of their own only if some node is not
+    # propositional
+    if not all(type(f) in syntax._PROPOSITIONAL for f in nodes) and not (
+        syntax.is_propositional(*premises)
+    ):
         raise TypeError("premises must be propositional formulas")
-    check_budget(premises + [goal], budget)
-    point = _refute(goal, premises, syntax.atom_names(*premises, goal))
+    _check_budget(nodes, budget)
+    point = _refute(atoms, (_ir(nodes, pos), [pos[id(f)] for f in roots]))
     return point is None, point
 
 

@@ -451,6 +451,17 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert rc == 1
     assert json.loads(out)["error"].startswith(
         "rv arv-defect takes at most %d atoms " % cli.MAX_ARV_ATOMS)
+    # a family with more atoms than the axiom check is allowed
+    six_family = randomisation.RandomFamily(
+        rv.FiniteProbSpace.uniform(["w%d" % i for i in range(6)]),
+        test_randomisation.two_point_family().structures[:1] * 6)
+    paths["six_family"] = tmp_path / "six_family.json"
+    paths["six_family"].write_text(
+        json.dumps(randomisation.family_to_json(six_family)))
+    rc, out = run(capsys, ["rand", "axioms", str(paths["six_family"])])
+    assert rc == 1
+    assert json.loads(out)["error"].startswith(
+        "rand axioms takes at most %d atoms " % cli.MAX_RAND_AXIOM_ATOMS)
     # the subset bound is refused before the instance is even read
     rc, out = run(capsys, ["hall", "/nonexistent.json", "--bound", "21"])
     assert rc == 1

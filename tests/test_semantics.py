@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from clog import syntax
+from clog.kernel import KernelUnsupported, grid_max
 from clog.semantics import (
     BudgetExceeded,
     entails_semantic,
@@ -253,6 +254,41 @@ def test_budget_enforcement():
         call(budget)
         with pytest.raises(BudgetExceeded):
             call(budget - 1)
+
+
+def test_is_valid_traverses_formula_and_skeleton_once(monkeypatch):
+    # an A2 instance with phi = (p - q): phi repeats, so the abstraction
+    # pre-pass hides it behind a fresh atom, and the skeleton is valid
+    f = F("(((s - (p - q)) - (s - r)) - (r - (p - q)))")
+    calls = []
+    subformulas = syntax.subformulas
+
+    def counting(*roots):
+        calls.append(roots)
+        return subformulas(*roots)
+
+    monkeypatch.setattr(syntax, "subformulas", counting)
+    assert is_valid(f, budget=24) == (True, None)
+    # the formula once and its skeleton once; kernel.grid_max traverses
+    # through its own name, which is not counted here
+    assert len(calls) == 2
+    assert calls[0] == (f,)
+
+
+def test_abstraction_atoms_are_fresh():
+    # (p - q) repeats, so the abstraction pre-pass hides it behind a fresh
+    # atom, which must not be the formula's own #0
+    s = syntax.Monus(Atom("p"), Atom("q"))
+    f = syntax.Monus(syntax.Monus(s, Atom("#0")), syntax.Monus(syntax.Const0(), s))
+    pad = syntax.Const0()
+    for i in range(4):  # seven atoms: too large a grid for the pre-pass
+        pad = syntax.Monus(pad, Atom("a%d" % i))
+    f = syntax.Monus(f, pad)
+    with pytest.raises(KernelUnsupported):
+        grid_max(f, syntax.atom_names(f), 8)
+    ok, point = is_valid(f)
+    assert not ok
+    assert evaluate(f, point) > 0
 
 
 def test_entails_rejects_nonpropositional_premises():
