@@ -8,7 +8,11 @@ expression.  A term with k split nodes has at most 2^k sign vectors but only
 polynomially many feasible cells (a hyperplane arrangement), so the sides
 are explored depth-first with the current constraint set checked for
 feasibility at every step: first against a witness point carried along the
-search, then (on a miss) with an exact rational LP.
+search, then (on a miss) with an exact rational LP.  A side that holds
+only on a face of the box is skipped when it comes second: the positive
+side of 0 - a holds only where a = 0, the zero side holds everywhere, and
+both take the same value on that face.  So the chain 0 - a0 - ... - a(k-1)
+is one cell, not 2^k.
 
 A term is given as a list of nodes in the order they were built, children
 before parents, each naming its children by position in the list; the
@@ -23,7 +27,7 @@ constraint.
 import math
 
 from .rationals import ZERO, ONE, rat
-from .simplex import GE, OPTIMAL, POSITIVE, UNBOUNDED, solve_lp
+from .simplex import OPTIMAL, POSITIVE, solve_lp
 
 
 class Affine:
@@ -138,14 +142,10 @@ class CellEnumerator:
     # ---- feasibility ----------------------------------------------------
 
     def _lp_rows(self, constraints):
-        rows = []
-        for aff in constraints.values():
-            coeffs = [aff.coeffs.get(v, ZERO) for v in self.variables]
-            rows.append((coeffs, GE, -aff.const))
-        for i, _ in enumerate(self.variables):
-            unit = [ONE if j == i else ZERO for j in range(len(self.variables))]
-            rows.append((unit, "<=", ONE))
-        return rows
+        return [
+            ([aff.coeffs.get(v, ZERO) for v in self.variables], aff.const)
+            for aff in constraints.values()
+        ]
 
     def feasible_point(self, constraints):
         """A point of the cell (plus unit box), or None."""
@@ -227,9 +227,11 @@ class CellEnumerator:
                     values[i] = value
                     yield from walk(i + 1, point)
                     return
-            at_point = diff.evaluate(point)
-            for si in ((0, 1) if at_point <= 0 else (1, 0)):
+            order = (0, 1) if diff.evaluate(point) <= 0 else (1, 0)
+            for si in order:
                 guard, value = sides[si]
+                if si == order[1] and guard.box_max() <= 0:
+                    break  # only a face: the first side holds on the whole box
                 key = keys[si]
                 if guard.evaluate(point) >= 0:
                     newpoint = point
@@ -293,11 +295,8 @@ class CellEnumerator:
             len(self.variables),
             rows,
             objective=obj,
-            stop_when_positive=stop_when_positive,
-            positive_threshold=-objective.const,
+            positive_above=-objective.const if stop_when_positive else None,
         )
-        if res.status == UNBOUNDED:  # pragma: no cover - box-bounded
-            raise AssertionError("bounded problem reported unbounded")
         if res.status not in (OPTIMAL, POSITIVE):
             return None
         point = dict(zip(self.variables, res.point))

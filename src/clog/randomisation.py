@@ -14,7 +14,9 @@ import math
 
 from . import syntax
 from .rationals import ZERO, format_rat, is_unit_interval, parse_rat, rat
-from .rv import FiniteProbSpace, RandomVariable, expectation, space_from_json, space_to_json
+from .rv import (
+    FiniteProbSpace, JointDistribution, RandomVariable, expectation, space_from_json,
+    space_to_json)
 from .syntax import (
     METRIC_SYMBOL, Atom, Const0, Half, Inf, Monus, Neg, Pred, Signature, Sup, Var)
 
@@ -543,33 +545,9 @@ def los_check(phi, env, family, weighting=None):
     return lhs, rhs, lhs == rhs
 
 
-class TypeMeasure:
-    """Finite-support measure on realized value labels of a formula list."""
-
-    __slots__ = ("masses",)
-
-    def __init__(self, masses):
-        self.masses = {
-            tuple(rat(v) for v in label): rat(w)
-            for label, w in masses.items()
-            if w != 0
-        }
-        if sum(self.masses.values(), start=ZERO) != 1:
-            raise ValueError("masses must sum to exactly 1")
-
-    def __eq__(self, other):
-        return isinstance(other, TypeMeasure) and self.masses == other.masses
-
-    def __repr__(self):
-        entries = ", ".join(
-            "%s: %s" % (tuple(str(v) for v in k), w)
-            for k, w in sorted(self.masses.items())
-        )
-        return "TypeMeasure({%s})" % entries
-
-
 def type_measure(sections, family, formulas, names=None):
-    """Pushforward of the space measure under the formula-value labels.
+    """Pushforward of the space measure under the formula-value labels, as
+    a JointDistribution of the formulas' values.
 
     The i-th section is bound to the variable names[i] (default x0, x1, ...);
     each atom is labelled by the tuple of formula values there, and atoms
@@ -584,7 +562,7 @@ def type_measure(sections, family, formulas, names=None):
     for i, w in enumerate(family.space.weights):
         label = tuple(row[i] for row in value_rows)
         masses[label] = masses.get(label, ZERO) + w
-    return TypeMeasure(masses)
+    return JointDistribution(masses)
 
 
 def pairing(measure, index):

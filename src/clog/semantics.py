@@ -136,7 +136,9 @@ class BranchCell:
 
 
 def enumerate_branches(formula, budget=None):
-    """All feasible affine cells of the formula over its atom box."""
+    """Feasible affine cells of the formula that cover its atom box; a face
+    on which only a split's second side holds is left to the first side's
+    cells, not listed on its own."""
     nodes, pos, atoms = _traverse([formula], budget)
     cells = CellEnumerator(atoms).iter_cells((_ir(nodes, pos), [len(nodes) - 1]))
     return [

@@ -1,20 +1,18 @@
-"""Exact two-phase simplex over rationals.
+"""Exact two-phase simplex over rationals, on the unit box.
 
 Small and dense on purpose: the decision procedures in this package solve
 many tiny LPs (a handful of variables, a few dozen rows), and exactness is
 non-negotiable — every coefficient is a rational and every pivot is exact.
-Bland's rule guarantees termination.  Variables are implicitly >= 0; callers
-add their own upper bounds as rows.
+Bland's rule guarantees termination.  Every LP has one shape: find a point
+of [0,1]^n with coeffs . x + const >= 0 on each row, maximizing an
+objective if one is given.  A box LP is never unbounded.
 """
 
-from .rationals import ZERO, ONE, rat
-
-LE, GE, EQ = "<=", ">=", "=="
+from .rationals import ZERO, ONE
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-POSITIVE = "positive"  # early exit: objective seen > 0, not necessarily optimal
+POSITIVE = "positive"  # early exit above positive_above, maybe not optimal
 
 
 class LPResult:
@@ -27,56 +25,39 @@ class LPResult:
         return "LPResult(%s, %r, %r)" % (self.status, self.value, self.point)
 
 
-def solve_lp(n_vars, constraints, objective=None, maximize=True,
-             stop_when_positive=False, positive_threshold=ZERO):
-    """Optimize over {x >= 0 : constraints}, exactly.
+def solve_lp(n_vars, rows, objective=None, positive_above=None):
+    """Maximize objective . x over {x in [0,1]^n_vars : rows}, exactly.
 
-    constraints: iterable of (coeffs, relation, rhs) with len(coeffs) == n_vars.
+    rows: iterable of (coeffs, const) with len(coeffs) == n_vars, each
+    meaning coeffs . x + const >= 0.
     objective: coefficient list (None means pure feasibility).
-    stop_when_positive: during phase 2, return as soon as the running
-    objective value exceeds positive_threshold (status POSITIVE, point is
-    feasible and attains the reported value).  Only for maximization.
+    positive_above: if not None, phase 2 returns as soon as the running
+    objective value exceeds it (status POSITIVE; the point is feasible and
+    attains the reported value).
     """
-    rows = []
-    rels = []
-    rhss = []
-    for coeffs, rel, rhs in constraints:
-        coeffs = [rat(c) for c in coeffs]
-        rhs = rat(rhs)
-        if rhs < 0:  # keep b >= 0 so phase 1 can start from the artificials
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        rows.append(coeffs)
-        rels.append(rel)
-        rhss.append(rhs)
+    rows = list(rows)
+    m = len(rows) + n_vars  # the rows, then x_j <= 1 for each variable
+    real = n_vars + m  # variables and one slack per row
+    # a row with const > 0 is negated and starts basic on its slack, so every
+    # right-hand side is >= 0; each other row gets an artificial
+    art_rows = [i for i, (_, const) in enumerate(rows) if const <= 0]
+    width = real + len(art_rows)
 
-    m = len(rows)
-    n_slack = sum(1 for r in rels if r != EQ)
-    # artificials for >= and == rows
-    art_rows = [i for i, r in enumerate(rels) if r != LE]
-    n_art = len(art_rows)
-    width = n_vars + n_slack + n_art
-
-    tab = [[ZERO] * (width + 1) for _ in range(m)]
-    basis = [-1] * m
-    si = n_vars
-    ai = n_vars + n_slack
-    for i in range(m):
-        for j in range(n_vars):
-            tab[i][j] = rows[i][j]
-        tab[i][width] = rhss[i]
-        if rels[i] == LE:
-            tab[i][si] = ONE
-            basis[i] = si
-            si += 1
-        elif rels[i] == GE:
-            tab[i][si] = -ONE
-            si += 1
-    for i in art_rows:
-        tab[i][ai] = ONE
-        basis[i] = ai
-        ai += 1
+    tab = []
+    basis = list(range(n_vars, real))
+    for i, (coeffs, const) in enumerate(rows):
+        sign = -ONE if const > 0 else ONE  # sign*coeffs . x - sign*s = -sign*const
+        row = [sign * c for c in coeffs] + [ZERO] * (width + 1 - n_vars)
+        row[n_vars + i] = -sign
+        row[width] = -sign * const
+        tab.append(row)
+    for j in range(n_vars):  # x_j + s = 1
+        row = [ZERO] * (width + 1)
+        row[j] = row[n_vars + len(rows) + j] = row[width] = ONE
+        tab.append(row)
+    for a, i in enumerate(art_rows, start=real):
+        tab[i][a] = ONE
+        basis[i] = a
 
     def pivot(r, c):
         # exact Gauss-Jordan step on column c, row r
@@ -93,26 +74,25 @@ def solve_lp(n_vars, constraints, objective=None, maximize=True,
                     ri[j] -= f * row[j]
         basis[r] = c
 
-    def run_simplex(costs, active_width, stop_positive=False, threshold=ZERO):
-        """Maximize costs . x; returns final objective or POSITIVE early."""
+    def run_simplex(costs, active_width, threshold=None):
+        """Maximize costs . x; returns (OPTIMAL or POSITIVE, objective)."""
         # reduced costs: z_j - c_j computed fresh each iteration (Bland; the
         # tableaux are tiny, clarity beats the usual bookkeeping)
         while True:
             zrow = [ZERO] * active_width
             obj = ZERO
             for i in range(m):
-                cb = costs[basis[i]] if basis[i] < len(costs) else ZERO
+                cb = costs[basis[i]]
                 if cb != 0:
                     obj += cb * tab[i][width]
                     for j in range(active_width):
                         if tab[i][j] != 0:
                             zrow[j] += cb * tab[i][j]
-            if stop_positive and obj > threshold:
+            if threshold is not None and obj > threshold:
                 return POSITIVE, obj
             enter = -1
             for j in range(active_width):
-                cj = costs[j] if j < len(costs) else ZERO
-                if cj - zrow[j] > 0 and j not in basis:
+                if costs[j] - zrow[j] > 0 and j not in basis:
                     enter = j
                     break
             if enter < 0:
@@ -128,21 +108,18 @@ def solve_lp(n_vars, constraints, objective=None, maximize=True,
                         best = ratio
                         leave = i
             if leave < 0:
-                return UNBOUNDED, None
+                raise AssertionError("a box LP cannot be unbounded")
             pivot(leave, enter)
 
     # ---- phase 1
-    if n_art:
-        costs1 = [ZERO] * (n_vars + n_slack) + [-ONE] * n_art
-        status, obj = run_simplex(costs1, width)
-        if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
-            raise AssertionError("phase 1 cannot be unbounded")
+    if art_rows:
+        _, obj = run_simplex([ZERO] * real + [-ONE] * len(art_rows), width)
         if obj != 0:
             return LPResult(INFEASIBLE)
-        # drive leftover artificial basics out (or drop their rows if singular)
+        # drive leftover artificial basics out
         for i in range(m):
-            if basis[i] >= n_vars + n_slack:
-                for j in range(n_vars + n_slack):
+            if basis[i] >= real:
+                for j in range(real):
                     if tab[i][j] != 0:
                         pivot(i, j)
                         break
@@ -158,15 +135,6 @@ def solve_lp(n_vars, constraints, objective=None, maximize=True,
         return LPResult(OPTIMAL, ZERO, extract_point())
 
     # ---- phase 2 (restricted to real + slack columns)
-    sign = ONE if maximize else -ONE
-    costs2 = [sign * rat(c) for c in objective] + [ZERO] * n_slack
-    status, obj = run_simplex(
-        costs2,
-        n_vars + n_slack,
-        stop_positive=stop_when_positive and maximize,
-        threshold=rat(positive_threshold),
-    )
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
-    value = obj if maximize else -obj
-    return LPResult(status, value, extract_point())
+    costs = list(objective) + [ZERO] * (width - n_vars)
+    status, obj = run_simplex(costs, real, positive_above)
+    return LPResult(status, obj, extract_point())

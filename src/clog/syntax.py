@@ -468,10 +468,10 @@ def _tokenize(text):
             i += 2
         elif text.startswith("2^-", i):
             j = i + 3
-            if j >= n or not text[j].isdigit():
+            if j >= n or not "0" <= text[j] <= "9":
                 raise ParseError("expected digits after '2^-'", j)
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and "0" <= text[k] <= "9":
                 k += 1
             digits = text[j:k].lstrip("0") or "0"
             if len(digits) > 5 or int(digits) > MAX_DYADIC_EXPONENT:

@@ -486,6 +486,19 @@ def test_branch_budget_env(capsys, monkeypatch):
     assert "CLOG_BRANCH_BUDGET" in json.loads(out)["error"]
 
 
+def test_face_chain_is_one_cell(capsys):
+    """((0 - a0) - a1) ... - a15 is 0 on the whole box; the positive side of
+    each split is only a face of it, and the search is no longer 2^16
+    cells long (16 atoms, so the grid pre-pass does not run either)."""
+    text = "0"
+    for j in range(16):
+        text = "(%s - a%d)" % (text, j)
+    started = time.monotonic()
+    rc, out = run(capsys, ["valid", "-e", text])
+    assert time.monotonic() - started < 5
+    assert (rc, out) == (0, '{"cmd":"valid","status":"ok","valid":true}\n')
+
+
 def test_deeply_nested_formulas(capsys, tmp_path):
     """Propositional formulas nest to any depth: an answer with its
     countermodel, or the branch-budget error, each well within 10 s."""

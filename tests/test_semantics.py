@@ -98,6 +98,16 @@ def test_branch_cell_shapes():
     assert any(c.value.is_zero() for c in cells)
 
 
+def test_box_faces_are_not_cells():
+    # ((0 - a0) - a1) ... - a11: the positive side of each split holds only
+    # on the face a_j = 0, where the zero side agrees; it was 2^12 cells
+    f = syntax.Const0()
+    for j in range(12):
+        f = syntax.Monus(f, Atom("a%d" % j))
+    cells = enumerate_branches(f)
+    assert len(cells) == 1 and cells[0].value.is_zero()
+
+
 def test_sup_examples():
     v, w = sup_value(F("|p - 2^-1|"))
     assert v == Fraction(1, 2)

@@ -128,6 +128,12 @@ def test_parse_errors():
         with pytest.raises(ParseError) as exc:
             parse_formula(bad)
         assert exc.value.position == bad.index("2^-") + 3
+    # the exponent is ASCII digits only: no superscripts, no other scripts
+    for bad in ["2^-²", "(p - 2^-٣)"]:
+        with pytest.raises(ParseError) as exc:
+            parse_formula(bad)
+        assert str(exc.value) == "expected digits after '2^-' (at offset %d)" % (
+            bad.index("2^-") + 3)
     with pytest.raises(ParseError):
         parse_formula("inf x. P(x)")  # quantifiers need the first-order parser
     with pytest.raises(ParseError):
