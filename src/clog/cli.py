@@ -12,16 +12,16 @@ Commands that assert a property (valid, sat, entail, check-proof, rand los,
 hall, ...) report status "ok" when the property holds and "fail" (or
 "infeasible" for hall) when it does not; pure computations (dist, joint,
 glue, ...) are "ok" whenever the input was well-formed.
+
+Each handler imports the library modules it runs, so a process loads only
+what its subcommand needs; building the parser imports none of them.
 """
 
 import argparse
 import json
 import os
-import random
 import sys
 
-from . import hall as hall_mod
-from . import proofs, randomisation, rv, semantics, syntax
 from .rationals import format_rat, parse_rat, rat
 
 DEFAULT_BRANCH_BUDGET = 24
@@ -37,6 +37,10 @@ MAX_ARV_ATOMS = 5
 # rand axioms' R3 check doubles per atom; at 128 samples on 3-element
 # universes 5 atoms took about 6 s and 6 atoms 11 s on 2 vCPUs
 MAX_RAND_AXIOM_ATOMS = 5
+# hall's condition enumerates 2^n item subsets; the default and the cap of
+# --bound, equal to hall.DEFAULT_SUBSET_BOUND (the parser must not import
+# hall to read it; a test pins the two)
+MAX_HALL_BOUND = 20
 
 
 def _budget():
@@ -108,13 +112,15 @@ def _read_formulas(args, parser, many=False):
 
 def _parse_sections(family, pairs):
     """--section NAME=v1,v2,... occurrences into an environment dict."""
+    from .randomisation import Section
+
     env = {}
     for pair in pairs or ():
         name, eq, body = pair.partition("=")
         if not eq:
             raise ValueError("--section expects NAME=v1,v2,..., got %r" % pair)
         values = tuple(v.strip() for v in body.split(",")) if body else ()
-        env[name.strip()] = randomisation.Section(family, values)
+        env[name.strip()] = Section(family, values)
     return env
 
 
@@ -126,11 +132,15 @@ def _parse_event(text):
 
 
 def _random_rvs(space, count, seed):
+    import random
+
+    from .rv import RandomVariable
+
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         values = tuple(rat(rng.randint(0, 8), 8) for _ in space.ids)
-        out.append(rv.RandomVariable(space, values))
+        out.append(RandomVariable(space, values))
     return out
 
 
@@ -138,6 +148,8 @@ def _random_rvs(space, count, seed):
 
 
 def _cmd_valid(args, parser):
+    from . import semantics, syntax
+
     (text,) = _read_formulas(args, parser)
     formula = syntax.parse_formula(text)
     ok, point = semantics.is_valid(formula, budget=_budget())
@@ -151,6 +163,8 @@ def _cmd_valid(args, parser):
 
 
 def _cmd_sat(args, parser):
+    from . import semantics, syntax
+
     texts = _read_formulas(args, parser, many=True)
     formulas = [syntax.parse_formula(t) for t in texts]
     ok = semantics.is_satisfiable(formulas, budget=_budget())
@@ -158,28 +172,40 @@ def _cmd_sat(args, parser):
 
 
 def _cmd_entail(args, parser):
+    from . import semantics, syntax
+
     premises = [syntax.parse_formula(t) for t in args.premise or ()]
     goal = syntax.parse_formula(args.goal)
     budget = _budget()
     ok, point = semantics.entails_semantic(premises, goal, budget=budget)
     payload = {"valid": bool(ok)}
     if args.witness:
-        m = semantics.entails_witness(premises, goal, cap=args.cap, budget=budget)
-        payload["m"] = m
+        # at a countermodel every premise is 0 and the goal positive, so no
+        # m works: the search is skipped
+        payload["m"] = None
+        if ok:
+            cap = semantics.DEFAULT_WITNESS_CAP if args.cap is None else args.cap
+            payload["m"] = semantics.entails_witness(
+                premises, goal, cap=cap, budget=budget)
     if not ok:
         payload["countermodel"] = _fmt_point(point)
     return ("ok" if ok else "fail"), payload
 
 
 def _cmd_unsat_witness(args, parser):
+    from . import semantics, syntax
+
     premises = [syntax.parse_formula(t) for t in args.premise or ()]
-    n = semantics.unsat_witness(premises, cap=args.cap, budget=_budget())
+    cap = semantics.DEFAULT_WITNESS_CAP if args.cap is None else args.cap
+    n = semantics.unsat_witness(premises, cap=cap, budget=_budget())
     if n is None:
         return "fail", {"n": None}
     return "ok", {"n": n}
 
 
 def _cmd_check_proof(args, parser):
+    from . import proofs, syntax
+
     proof = proofs.proof_from_json(_load_json(args.proof))
     premises = [syntax.parse_formula(t) for t in args.premise or ()]
     ok, offense = proofs.check_proof(proof, premises, explain=True)
@@ -190,6 +216,8 @@ def _cmd_check_proof(args, parser):
 
 
 def _cmd_find_proof(args, parser):
+    from . import proofs, syntax
+
     (text,) = _read_formulas(args, parser)
     goal = syntax.parse_formula(text)
     premises = [syntax.parse_formula(t) for t in args.premise or ()]
@@ -204,6 +232,8 @@ def _cmd_find_proof(args, parser):
 
 
 def _cmd_elim_half(args, parser):
+    from . import proofs, syntax
+
     premises = [syntax.parse_formula(t) for t in args.premise or ()]
     goal = syntax.parse_formula(args.goal)
     res = proofs.eliminate_half(premises, goal)
@@ -223,6 +253,8 @@ def _cmd_rv_check(args, parser):
     if args.samples > MAX_RV_SAMPLES:
         raise ValueError(
             "--samples is at most %d (the check is cubic in it)" % MAX_RV_SAMPLES)
+    from . import rv
+
     space = rv.space_from_json(_load_json(args.space))
     samples = _random_rvs(space, args.samples, args.seed)
     residuals = rv.check_rv_axioms(space, samples)
@@ -235,6 +267,8 @@ def _cmd_rv_check(args, parser):
 
 
 def _cmd_rv_arv_defect(args, parser):
+    from . import rv
+
     x = rv.rv_from_json(_load_json(args.rv))
     if len(x.space) > MAX_ARV_ATOMS:
         raise ValueError(
@@ -251,12 +285,16 @@ def _cmd_rv_arv_defect(args, parser):
 
 
 def _cmd_rv_dist(args, parser):
+    from . import rv
+
     x = rv.rv_from_json(_load_json(args.x))
     y = rv.rv_from_json(_load_json(args.y))
     return "ok", {"d": format_rat(rv.l1_dist(x, y))}
 
 
 def _cmd_rv_joint(args, parser):
+    from . import rv
+
     rvs = [rv.rv_from_json(_load_json(path)) for path in args.rv]
     law = rv.joint_distribution(rvs)
     masses = [
@@ -267,6 +305,8 @@ def _cmd_rv_joint(args, parser):
 
 
 def _cmd_rv_condexp(args, parser):
+    from . import rv
+
     x = rv.rv_from_json(_load_json(args.rv))
     partition = [x.space.event(_parse_event(b)) for b in args.block]
     out = rv.cond_expectation(x, partition)
@@ -277,6 +317,8 @@ def _cmd_rv_tauphi(args, parser):
     if args.n > MAX_TAUPHI_STAGE:
         raise ValueError(
             "--n is at most %d (the stage loops 2^n times)" % MAX_TAUPHI_STAGE)
+    from . import rv
+
     f = rv.rv_from_json(_load_json(args.rv))
     event = _parse_event(args.event)
     phi = rv.tau_phi_interpretation(f.space, f, args.n, event)
@@ -297,6 +339,8 @@ def _cmd_rv_tauphi(args, parser):
 
 
 def _cmd_rand_eval(args, parser):
+    from . import randomisation, syntax
+
     family = randomisation.family_from_json(_load_json(args.family))
     (text,) = _read_formulas(args, parser)
     phi = syntax.parse_lformula(text)
@@ -310,6 +354,10 @@ def _cmd_rand_axioms(args, parser):
         raise ValueError(
             "--samples is at most %d (the check is quadratic in it)"
             % MAX_RAND_SAMPLES)
+    import random
+
+    from . import randomisation
+
     family = randomisation.family_from_json(_load_json(args.family))
     if len(family.space) > MAX_RAND_AXIOM_ATOMS:
         raise ValueError(
@@ -332,6 +380,8 @@ def _cmd_rand_axioms(args, parser):
 
 
 def _cmd_rand_los(args, parser):
+    from . import randomisation, syntax
+
     family = randomisation.family_from_json(_load_json(args.family))
     (text,) = _read_formulas(args, parser)
     phi = syntax.parse_lformula(text)
@@ -348,6 +398,8 @@ def _cmd_rand_los(args, parser):
 
 
 def _cmd_rand_glue(args, parser):
+    from . import randomisation
+
     family = randomisation.family_from_json(_load_json(args.family))
     a = randomisation.Section(family, _parse_event(args.a))
     b = randomisation.Section(family, _parse_event(args.b))
@@ -357,6 +409,8 @@ def _cmd_rand_glue(args, parser):
 
 
 def _cmd_rand_type_measure(args, parser):
+    from . import randomisation, syntax
+
     family = randomisation.family_from_json(_load_json(args.family))
     texts = _read_formulas(args, parser, many=True)
     formulas = [syntax.parse_lformula(t) for t in texts]
@@ -379,6 +433,8 @@ def _cmd_rand_type_measure(args, parser):
 
 
 def _cmd_rand_inf_witness(args, parser):
+    from . import randomisation, syntax
+
     family = randomisation.family_from_json(_load_json(args.family))
     (text,) = _read_formulas(args, parser)
     phi = syntax.parse_lformula(text)
@@ -397,21 +453,23 @@ def _cmd_rand_inf_witness(args, parser):
 
 
 def _cmd_hall(args, parser):
-    if args.bound > hall_mod.DEFAULT_SUBSET_BOUND:
+    if args.bound > MAX_HALL_BOUND:
         raise ValueError(
             "--bound is at most %d (the condition enumerates 2^n item subsets)"
-            % hall_mod.DEFAULT_SUBSET_BOUND)
-    instance = hall_mod.instance_from_json(_load_json(args.instance))
-    holds, violating = hall_mod.hall_condition(instance, bound=args.bound)
+            % MAX_HALL_BOUND)
+    from . import hall
+
+    instance = hall.instance_from_json(_load_json(args.instance))
+    holds, violating = hall.hall_condition(instance, bound=args.bound)
     if not holds:
         return "infeasible", {"holds": False, "violating": list(violating)}
-    allocation = hall_mod.solve_allocation(instance)
+    allocation = hall.solve_allocation(instance)
     if allocation is None:  # cannot happen when the condition holds
         return "fail", {"holds": True, "error": "no allocation found"}
-    labels = hall_mod.realizable_labels(instance, allocation)
+    labels = hall.realizable_labels(instance, allocation)
     return "ok", {
         "holds": True,
-        "allocation": hall_mod.allocation_to_json(allocation)["masses"],
+        "allocation": hall.allocation_to_json(allocation)["masses"],
         "realizable": {k: labels[k] for k in sorted(labels)},
     }
 
@@ -440,13 +498,13 @@ def _build_parser():
     p.add_argument("--goal", required=True, metavar="FORMULA")
     p.add_argument("--witness", action="store_true",
                    help="also search for the finite witness m")
-    p.add_argument("--cap", type=_nonnegative_int, default=semantics.DEFAULT_WITNESS_CAP)
+    p.add_argument("--cap", type=_nonnegative_int)
     p.set_defaults(handler=_cmd_entail, echo="entail")
 
     p = sub.add_parser("unsat-witness",
                        help="smallest n certifying the premises unsatisfiable")
     p.add_argument("--premise", action="append", metavar="FORMULA")
-    p.add_argument("--cap", type=_nonnegative_int, default=semantics.DEFAULT_WITNESS_CAP)
+    p.add_argument("--cap", type=_nonnegative_int)
     p.set_defaults(handler=_cmd_unsat_witness, echo="unsat-witness")
 
     p = sub.add_parser("check-proof", help="check a proof file")
@@ -563,9 +621,9 @@ def _build_parser():
                        help="marriage condition and mass allocation")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--bound", type=_nonnegative_int,
-                   default=hall_mod.DEFAULT_SUBSET_BOUND,
+                   default=MAX_HALL_BOUND,
                    help="largest item count to enumerate subsets of (at most %d)"
-                   % hall_mod.DEFAULT_SUBSET_BOUND)
+                   % MAX_HALL_BOUND)
     p.set_defaults(handler=_cmd_hall, echo="hall")
 
     return parser

@@ -14,7 +14,6 @@ deliberately not complete: a None result refutes nothing.
 
 import json
 from collections import deque
-from importlib import resources
 
 from . import syntax
 from .syntax import (
@@ -211,6 +210,8 @@ def recorded_monus_self():
     """The shipped 9-line derivation of (p - p) from no premises."""
     global _MONUS_SELF
     if _MONUS_SELF is None:
+        from importlib import resources
+
         text = (
             resources.files("clog").joinpath("data/monus_self.json").read_text()
         )

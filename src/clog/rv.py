@@ -11,7 +11,6 @@ random variables: each propositional atom names an RV and the connectives
 act pointwise (rv_eval).
 """
 
-from .branches import Affine, CellEnumerator, PLComb, PLMonus
 from .rationals import HALF, ONE, ZERO, format_rat, is_unit_interval, parse_rat, rat
 from . import syntax
 from .syntax import Atom, Half, Monus, Neg, conj
@@ -304,6 +303,8 @@ def arv_defect(space, x, with_witness=False):
     when some y splits x's mass in half while being two-valued {0,1}; finite
     spaces generally leave a positive defect.
     """
+    from .branches import Affine, CellEnumerator, PLComb, PLMonus
+
     if x.space != space:
         raise ValueError("random variable on a different space")
     variables = ["y%d" % i for i in range(len(space))]

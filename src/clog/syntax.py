@@ -26,17 +26,19 @@ Identifiers are [a-zA-Z_][a-zA-Z0-9_]*; `neg half inf sup` are reserved.
 The printer emits only core nodes, fully parenthesized, and
 parse(print(f)) == f.
 
+AST nodes are immutable `__slots__` classes (no dataclasses, whose import
+costs every command line run) with structural equality and hashing and a
+constructor-style repr, none of which recurses.
+
 `subformulas` is the one traversal of the formula DAG: it keeps an explicit
 stack and identifies structurally equal subformulas by position, never by
-hashing a node (which hashes its whole subtree); `fold` interprets formulas,
-`free_variables_at` gives each position's free variables and `rebuild`
-rewrites formulas over it.  These, the parser and the printer (which walks
+hashing a node (whose first hash walks its whole subtree); `fold`
+interprets formulas, `free_variables_at` gives each position's free
+variables and `rebuild` rewrites formulas over it.  These, the parser and the printer (which walks
 the tree, as large as its output) use no Python recursion, and both
 first-order evaluation routes in `randomisation` are passes over positions,
 so formulas of either kind may nest to any depth; only terms still recurse.
 """
-
-from dataclasses import dataclass
 
 from .rationals import rat
 
@@ -55,59 +57,204 @@ class ParseError(ValueError):
 
 # --- AST ------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Const0:
-    pass
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    name: str
+class _Node:
+    """An immutable AST node: a __slots__ class whose fields, named in
+    `_fields` in constructor order, __init__ sets once.
+
+    Equality and hashing are structural and the repr reads like a
+    constructor call, `Monus(left=Atom(name='p'), right=Const0())`.  All
+    three walk the subformulas with an explicit stack (argument terms are
+    still compared, hashed and shown recursively), so formulas may nest to
+    any depth.  A node's hash is computed on first use and kept in `_hash`
+    (None until then).
+    """
+
+    __slots__ = ("_hash",)
+    _fields = __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _equal(self, other)
+
+    def __hash__(self):
+        h = self._hash
+        return _hash_tree(self) if h is None else h
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+    def __repr__(self):
+        out = []
+        stack = [self]
+        while stack:
+            f = stack.pop()
+            if type(f) is str:
+                out.append(f)
+                continue
+            pieces = [type(f).__qualname__ + "("]
+            for name in f._fields:
+                value = getattr(f, name)
+                pieces += (", " if len(pieces) > 1 else "", name, "=",
+                           value if isinstance(value, _Node) else repr(value))
+            pieces.append(")")
+            stack += reversed(pieces)
+        return "".join(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    body: object
+_set_hash = _Node._hash.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Half:
-    body: object
+def _equal(a, b):
+    """Structural equality of two nodes, without recursion; each pair of
+    node objects is compared once, so shared subformulas cost nothing."""
+    stack = [(a, b)]
+    seen = set()
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is type(b) and isinstance(a, _Node):
+            pair = (id(a), id(b))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            stack += zip(map(a.__getattribute__, a._fields),
+                         map(b.__getattribute__, b._fields))
+        elif isinstance(a, _Node) or isinstance(b, _Node) or a != b:
+            return False
+    return True
 
 
-@dataclass(frozen=True, slots=True)
-class Monus:
-    left: object
-    right: object
+def _hash_tree(root):
+    """Cache the hash of root and of every node below it that lacks one,
+    children first, and return root's.  A node hashes as the tuple of its
+    fields, as a frozen dataclass would."""
+    stack = [root]
+    while stack:
+        f = stack[-1]
+        t = type(f)
+        if t is Monus:
+            a, b = f.left, f.right
+            if getattr(a, "_hash", 0) is None or getattr(b, "_hash", 0) is None:
+                stack += (b, a)
+                continue
+            key = (a, b)
+        elif t is Neg or t is Half or t is Inf or t is Sup:
+            a = f.body
+            if getattr(a, "_hash", 0) is None:
+                stack.append(a)
+                continue
+            key = (a,) if t is Neg or t is Half else (f.var, a)
+        else:
+            key = tuple([getattr(f, name) for name in f._fields])
+        stack.pop()
+        _set_hash(f, hash(key))
+    return root._hash
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+# Atoms, Neg, Half and Monus are built by the thousand (parser, rebuild,
+# proof search), so their __init__ calls the slots' own setters, which is
+# cheaper than object.__setattr__.
+
+class Const0(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        _set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True)
-class Apply:
-    func: str
-    args: tuple
+class Atom(_Node):
+    __slots__ = _fields = __match_args__ = ("name",)
+
+    def __init__(self, name):
+        _set_atom_name(self, name)
+        _set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True)
-class Pred:
-    name: str
-    args: tuple
+class Neg(_Node):
+    __slots__ = _fields = __match_args__ = ("body",)
+
+    def __init__(self, body):
+        _set_neg_body(self, body)
+        _set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True)
-class Inf:
-    var: str
-    body: object
+class Half(_Node):
+    __slots__ = _fields = __match_args__ = ("body",)
+
+    def __init__(self, body):
+        _set_half_body(self, body)
+        _set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True)
-class Sup:
-    var: str
-    body: object
+class Monus(_Node):
+    __slots__ = _fields = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_monus_left(self, left)
+        _set_monus_right(self, right)
+        _set_hash(self, None)
+
+
+_set_atom_name = Atom.name.__set__
+_set_neg_body = Neg.body.__set__
+_set_half_body = Half.body.__set__
+_set_monus_left = Monus.left.__set__
+_set_monus_right = Monus.right.__set__
+
+
+class Var(_Node):
+    __slots__ = _fields = __match_args__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
+        _set_hash(self, None)
+
+
+class Apply(_Node):
+    __slots__ = _fields = __match_args__ = ("func", "args")
+
+    def __init__(self, func, args):
+        _set(self, "func", func)
+        _set(self, "args", args)
+        _set_hash(self, None)
+
+
+class Pred(_Node):
+    __slots__ = _fields = __match_args__ = ("name", "args")
+
+    def __init__(self, name, args):
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _set_hash(self, None)
+
+
+class Inf(_Node):
+    __slots__ = _fields = __match_args__ = ("var", "body")
+
+    def __init__(self, var, body):
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set_hash(self, None)
+
+
+class Sup(_Node):
+    __slots__ = _fields = __match_args__ = ("var", "body")
+
+    def __init__(self, var, body):
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set_hash(self, None)
 
 
 # --- sugar ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here is deliberately the dumbest exact method available: plain
-Fraction recursion and exhaustive grid search.  The package's decision
-procedures (branch enumeration + rational LP, the integer grid sweep) must
-agree with these on the frozen fixtures; nothing here imports the modules
-under test.
+Fraction recursion and exhaustive grid search (over integers scaled by a
+common denominator where every grid point is swept).  The package's
+decision procedures (branch enumeration + rational LP, the integer grid
+sweep) must agree with these on the frozen fixtures; nothing here imports
+the modules under test.
 """
 
 import itertools
@@ -37,23 +38,69 @@ def eval_fraction(formula, assignment):
     raise TypeError(formula)
 
 
-def grid_sup_fractions(formula, atoms, denom):
-    """Exhaustive max over the grid {0, 1/denom, ..., 1}^atoms, pure Fraction.
+def _halvings(formula, memo):
+    """The most Half nodes on any root-to-leaf path of the formula."""
+    got = memo.get(id(formula))
+    if got is None:
+        if isinstance(formula, (syntax.Neg, syntax.Half)):
+            got = _halvings(formula.body, memo) + isinstance(formula, syntax.Half)
+        elif isinstance(formula, syntax.Monus):
+            got = max(_halvings(formula.left, memo), _halvings(formula.right, memo))
+        else:
+            got = 0
+        memo[id(formula)] = got
+    return got
 
-    Returns (max value, first witness assignment in odometer order).
+
+def _scaled_values(formula, columns, scale, size, memo):
+    """The formula's values at a block of points, as integers over scale."""
+    got = memo.get(id(formula))
+    if got is None:
+        if isinstance(formula, syntax.Const0):
+            got = [0] * size
+        elif isinstance(formula, syntax.Atom):
+            got = columns[formula.name]
+        elif isinstance(formula, syntax.Neg):
+            got = [scale - v for v in
+                   _scaled_values(formula.body, columns, scale, size, memo)]
+        elif isinstance(formula, syntax.Half):
+            got = [v >> 1 for v in
+                   _scaled_values(formula.body, columns, scale, size, memo)]
+        elif isinstance(formula, syntax.Monus):
+            left = _scaled_values(formula.left, columns, scale, size, memo)
+            right = _scaled_values(formula.right, columns, scale, size, memo)
+            got = [a - b if a > b else 0 for a, b in zip(left, right)]
+        else:
+            raise TypeError(formula)
+        memo[id(formula)] = got
+    return got
+
+
+def grid_sup_fractions(formula, atoms, denom):
+    """Exhaustive max over the grid {0, 1/denom, ..., 1}^atoms, exact.
+
+    Returns (max value, first witness assignment in odometer order), as
+    Fractions.  The sweep is integer-scaled: with H the most halvings on a
+    root-to-leaf path, scale = denom * 2^H makes every value an integer (a
+    node with k halvings below it is a multiple of 2^(H-k), so each halving
+    divides an even number).  Points are swept in blocks that fix all but
+    the last three coordinates, each node's values in a block one list.
     """
-    best = None
-    witness = None
-    levels = [Fraction(k, denom) for k in range(denom + 1)]
-    for point in itertools.product(levels, repeat=len(atoms)):
-        assignment = dict(zip(atoms, point))
-        v = eval_fraction(formula, assignment)
-        if best is None or v > best:
-            best, witness = v, assignment
-    if best is None:  # no atoms: a single point
-        best = eval_fraction(formula, {})
-        witness = {}
-    return best, witness
+    scale = denom << _halvings(formula, {})
+    unit = scale // denom
+    lead = max(0, len(atoms) - 3)
+    block = list(itertools.product(range(denom + 1), repeat=len(atoms) - lead))
+    best = witness = None
+    for head in itertools.product(range(denom + 1), repeat=lead):
+        columns = {a: [k * unit] * len(block) for a, k in zip(atoms, head)}
+        for i, a in enumerate(atoms[lead:]):
+            columns[a] = [point[i] * unit for point in block]
+        values = _scaled_values(formula, columns, scale, len(block), {})
+        top = max(values)
+        if best is None or top > best:
+            best, witness = top, head + block[values.index(top)]
+    return Fraction(best, scale), {
+        a: Fraction(k, denom) for a, k in zip(atoms, witness)}
 
 
 def grid_first_positive(formula, atoms, denom):

@@ -124,6 +124,19 @@ def test_entail_countermodel(capsys):
     assert report["countermodel"] == {"p": "1/2"}
 
 
+def test_entail_witness_on_a_non_entailment(capsys):
+    # at the countermodel every premise is 0 and the goal positive, so no m
+    # works: the answer is m null, found without the witness search (which
+    # would run past the branch budget)
+    rc, out = run(capsys, ["entail", "--premise", "(p - q)", "--goal", "p",
+                           "--witness", "--cap", "100"])
+    assert rc == 1
+    assert out == (
+        '{"cmd":"entail","status":"fail","valid":false,"m":null,'
+        '"countermodel":{"p":"1/2","q":"1/2"}}\n'
+    )
+
+
 def test_unsat_witness(capsys):
     rc, out = run(
         capsys, ["unsat-witness", "--premise", "p", "--premise", "neg p"]
@@ -569,22 +582,56 @@ def test_reports_start_with_cmd_and_status(capsys, tmp_path):
         assert (run_rc == 0) == (report["status"] == "ok")
 
 
-def test_valid_imports_only_the_standard_library():
+def _loaded_by(*argvs):
+    """Run the commands in one fresh interpreter: their output lines, and
+    the modules that importing clog.cli and running them loaded."""
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "before = set(sys.modules)\n"
         "from clog.cli import main\n"
-        "main(['valid', '-e', 'p'])\n"
-        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-        "print(sorted(new - set(sys.stdlib_module_names) - {'clog'}))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    main(argv)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("CLOG_BRANCH_BUDGET", None)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    ).stdout
-    assert out.splitlines() == [
+        [sys.executable, "-c", code, json.dumps(argvs)], env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    return out[:-1], set(json.loads(out[-1]))
+
+
+def test_valid_imports_only_the_standard_library(tmp_path):
+    """Each subcommand loads only the library modules it runs."""
+    out, new = _loaded_by(
+        ["valid", "-e", "p"], ["sat", "-e", "p"],
+        ["entail", "--premise", "p", "--goal", "half p", "--witness"])
+    assert out == [
         '{"cmd":"valid","status":"fail","valid":false,'
         '"countermodel":{"p":"1/8"},"value":"1/8"}',
-        "[]",
+        '{"cmd":"sat","status":"ok","satisfiable":true}',
+        '{"cmd":"entail","status":"ok","valid":true,"m":1}',
     ]
+    outside = {m.split(".")[0] for m in new} - set(sys.stdlib_module_names)
+    assert outside == {"clog"}
+    assert not new & {"clog.rv", "clog.hall", "clog.randomisation",
+                      "clog.proofs", "dataclasses"}
+
+    paths = write_fixtures(tmp_path)
+    out, new = _loaded_by(["hall", str(paths["hall_pair"])])
+    assert out == ['{"cmd":"hall","status":"infeasible","holds":false,'
+                   '"violating":["x","y"]}']
+    assert not new & {"clog.semantics", "clog.kernel", "clog.branches",
+                      "clog.simplex", "clog.proofs", "clog.randomisation"}
+
+    out, new = _loaded_by(["find-proof", "-e", "(p - p)", "--depth", "9"])
+    assert json.loads(out[0])["lines"] == 9
+    cli_own = {"clog", "clog.cli", "clog.rationals"}
+    assert {m for m in new if m.startswith("clog")} - cli_own == {
+        "clog.proofs", "clog.syntax"}
+
+
+def test_hall_bound_is_the_library_default():
+    # the parser states the cap without importing hall
+    assert cli.MAX_HALL_BOUND == hall.DEFAULT_SUBSET_BOUND

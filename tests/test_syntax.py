@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -247,3 +249,67 @@ def test_walkers_never_hash_or_compare_nodes(monkeypatch):
         monkeypatch.setattr(cls, "__hash__", refuse)
         monkeypatch.setattr(cls, "__eq__", refuse)
     assert answers() == expected
+
+
+def test_node_reprs():
+    # error texts embed these, so they read as before, field by field
+    cases = [
+        (Const0(), "Const0()"),
+        (Atom("p"), "Atom(name='p')"),
+        (Neg(Atom("p")), "Neg(body=Atom(name='p'))"),
+        (Half(Const0()), "Half(body=Const0())"),
+        (Monus(Atom("p"), Const0()), "Monus(left=Atom(name='p'), right=Const0())"),
+        (Var("x"), "Var(name='x')"),
+        (Apply("f", (Var("x"), Apply("g", ()))),
+         "Apply(func='f', args=(Var(name='x'), Apply(func='g', args=())))"),
+        (Pred("d", (Var("x"), Var("y"))),
+         "Pred(name='d', args=(Var(name='x'), Var(name='y')))"),
+        (Inf("x", Pred("P", (Var("x"),))),
+         "Inf(var='x', body=Pred(name='P', args=(Var(name='x'),)))"),
+        (Sup("y", Neg(Pred("P", (Var("y"),)))),
+         "Sup(var='y', body=Neg(body=Pred(name='P', args=(Var(name='y'),))))"),
+        (Atom("it's"), "Atom(name=\"it's\")"),
+    ]
+    for node, text in cases:
+        assert repr(node) == text
+
+
+def test_nodes_are_immutable_and_structural():
+    f = Monus(Atom("p"), Half(Const0()))
+    with pytest.raises(AttributeError):
+        f.left = Atom("q")
+    with pytest.raises(AttributeError):
+        del f.left
+    g = Monus(Atom("p"), Half(Const0()))
+    assert f == g and hash(f) == hash(g) and f is not g
+    assert f != Monus(Atom("p"), Neg(Const0()))
+    assert Atom("p") != Var("p") and Atom("p") != "p"
+    assert Inf("x", Pred("P", (Var("x"),))) != Sup("x", Pred("P", (Var("x"),)))
+    assert {parse_formula("(p /\\ q)"): 1}[conj(Atom("p"), Atom("q"))] == 1
+    lf = parse_lformula("inf x. (P(f(x)) - d(x, y))")
+    for node in (f, lf):
+        assert copy.deepcopy(node) == node
+        assert pickle.loads(pickle.dumps(node)) == node
+    # 40 nested conjunctions share subformulas: a tree of 2^40 nodes, which
+    # equality and hashing visit once per distinct node
+    text = "p"
+    for _ in range(40):
+        text = "(%s /\\ q)" % text
+    a, b = parse_formula(text), parse_formula(text)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_formula(text.replace("q)", "r)", 1))
+
+
+def test_deep_nodes_compare_hash_and_print():
+    def deep(leaf):
+        f = leaf
+        for _ in range(100_000):
+            f = Neg(f)
+        return f
+
+    a, b = deep(Atom("p")), deep(Atom("p"))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != deep(Atom("q"))
+    text = repr(a)
+    assert text == "Neg(body=" * 100_000 + "Atom(name='p')" + ")" * 100_000
