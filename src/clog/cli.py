@@ -37,9 +37,10 @@ MAX_ARV_ATOMS = 5
 # rand axioms' R3 check doubles per atom; at 128 samples on 3-element
 # universes 5 atoms took about 6 s and 6 atoms 11 s on 2 vCPUs
 MAX_RAND_AXIOM_ATOMS = 5
-# hall's condition enumerates 2^n item subsets; the default and the cap of
-# --bound, equal to hall.DEFAULT_SUBSET_BOUND (the parser must not import
-# hall to read it; a test pins the two)
+# hall's --bound caps an instance's item count; the min-cut condition needs
+# no cap, but the command keeps it.  The default and the cap of --bound,
+# equal to hall.DEFAULT_SUBSET_BOUND (the parser must not import hall to
+# read it; a test pins the two)
 MAX_HALL_BOUND = 20
 
 
@@ -455,7 +456,8 @@ def _cmd_rand_inf_witness(args, parser):
 def _cmd_hall(args, parser):
     if args.bound > MAX_HALL_BOUND:
         raise ValueError(
-            "--bound is at most %d (the condition enumerates 2^n item subsets)"
+            "--bound is at most %d (an item cap the command keeps; the condition"
+            " itself is decided by min-cuts)"
             % MAX_HALL_BOUND)
     from . import hall
 
@@ -622,7 +624,7 @@ def _build_parser():
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--bound", type=_nonnegative_int,
                    default=MAX_HALL_BOUND,
-                   help="largest item count to enumerate subsets of (at most %d)"
+                   help="largest item count to accept (at most %d)"
                    % MAX_HALL_BOUND)
     p.set_defaults(handler=_cmd_hall, echo="hall")
 

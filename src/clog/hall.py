@@ -2,13 +2,15 @@
 
 Each item x carries a weight w_x and an event C_x of atoms it may draw
 from; atoms are divisible mass.  The covering condition (every subset T of
-items satisfies mu(C_T) >= w_T) is decided exhaustively, and allocations
-are built by exact integer max-flow after clearing denominators, so the
-condition-holds / allocation-exists equivalence is exercised through two
-independent routes.
+items satisfies mu(C_T) >= w_T) is decided by minimum cuts (push-relabel),
+and allocations are built by exact integer max-flow (Edmonds-Karp), both
+after clearing denominators.  The two routes are written apart and neither
+reads the other's flow, so the condition-holds / allocation-exists
+equivalence is exercised through two independent routes.
 """
 
 from collections import deque
+from functools import lru_cache
 from math import lcm
 
 from .rationals import ZERO, format_rat, parse_rat, rat
@@ -17,8 +19,17 @@ from .rv import FiniteProbSpace, space_from_json, space_to_json
 DEFAULT_SUBSET_BOUND = 20
 
 
+@lru_cache(maxsize=1024)
+def _shared(event):
+    """One frozenset per distinct event: instances over the same atoms
+    repeat a few events many times, and each copy costs over 200 bytes."""
+    return event
+
+
 class HallInstance:
     """Items with weights and admissible events over a finite space."""
+
+    __slots__ = ("space", "ids", "weights", "events")
 
     def __init__(self, space, items):
         """items: iterable of (id, weight, event-iterable)."""
@@ -32,7 +43,7 @@ class HallInstance:
             if w < 0:
                 raise ValueError("item %r has negative weight" % (item_id,))
             weights.append(w)
-            events.append(space.event(ev))
+            events.append(_shared(space.event(ev)))
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate item ids")
         self.ids = tuple(ids)
@@ -52,29 +63,142 @@ class HallInstance:
         )
 
 
-def _subsets_lex(n):
-    """Nonempty index subsets in lexicographic order of their index tuples."""
-    def gen(prefix, start):
-        for i in range(start, n):
-            chosen = prefix + (i,)
-            yield chosen
-            yield from gen(chosen, i + 1)
-    yield from gen((), 0)
+def _min_cut(n_nodes, arcs, source, sink):
+    """Value of a minimum source-sink cut, by FIFO push-relabel
+    (Goldberg-Tarjan) on integer capacities.  arcs: (u, v, capacity).
+
+    Only the first phase runs: a maximum preflow, whose excess at the sink
+    is the cut value.  A node whose label reaches n_nodes cannot reach the
+    sink any more and keeps its excess.
+    """
+    head = []
+    cap = []
+    out = [[] for _ in range(n_nodes)]
+    for u, v, c in arcs:
+        out[u].append(len(head)); head.append(v); cap.append(c)
+        out[v].append(len(head)); head.append(u); cap.append(0)
+    # exact distances to the sink in the residual graph (a global relabel)
+    label = [n_nodes] * n_nodes
+    label[sink] = 0
+    queue = deque([sink])
+    while queue:
+        v = queue.popleft()
+        for e in out[v]:
+            u = head[e]
+            if label[u] == n_nodes and u != source and cap[e ^ 1]:
+                label[u] = label[v] + 1
+                queue.append(u)
+    label[source] = n_nodes
+    excess = [0] * n_nodes
+    for e in out[source]:
+        c = cap[e]
+        if c:
+            v = head[e]
+            cap[e] = 0
+            cap[e ^ 1] += c
+            if not excess[v] and v != sink and label[v] < n_nodes:
+                queue.append(v)
+            excess[v] += c
+    while queue:
+        u = queue.popleft()
+        edges = out[u]
+        while True:
+            here = label[u] - 1
+            low = n_nodes
+            for e in edges:
+                c = cap[e]
+                if not c:
+                    continue
+                v = head[e]
+                if label[v] == here:
+                    push = min(c, excess[u])
+                    cap[e] = c - push
+                    cap[e ^ 1] += push
+                    if not excess[v] and v != sink and v != source:
+                        queue.append(v)
+                    excess[v] += push
+                    excess[u] -= push
+                    if not excess[u]:
+                        break
+                elif label[v] < low:
+                    low = label[v]
+            if not excess[u]:
+                break
+            # relabel; every residual arc was seen, as none was admissible
+            label[u] = low + 1
+            if label[u] >= n_nodes:
+                break
+    return excess[sink]
 
 
 def hall_condition(instance, bound=DEFAULT_SUBSET_BOUND):
     """(True, None) if mu(C_T) >= w_T for every subset T of items, else
     (False, T) for the lexicographically-least violating T (in declared
-    item order).  Exhaustive over 2^|S| subsets, so |S| is bounded."""
+    item order).
+
+    max_T w_T - mu(C_T) is a maximum closure, so a minimum cut decides it:
+    source -> item x (w_x), item -> atom of C_x (unbounded), atom -> sink
+    (mu(atom)), on integers cleared by the common denominator.  The
+    condition fails iff the cut is below w_S.  On failure the least
+    violator is fixed one item at a time: the next item is the smallest j
+    such that some violating T meets items 0..j in exactly the items
+    chosen so far plus j, one cut per j; it stops when the chosen items
+    violate by themselves.  At most |S| + 1 cuts in all.
+    """
     n = len(instance)
     if n > bound:
         raise ValueError("instance has %d items, bound is %d" % (n, bound))
-    for chosen in _subsets_lex(n):
-        total = sum((instance.weights[i] for i in chosen), start=ZERO)
-        union = frozenset().union(*(instance.events[i] for i in chosen))
-        if instance.space.mu(union) < total:
-            return False, tuple(instance.ids[i] for i in chosen)
-    return True, None
+    space = instance.space
+    events = instance.events
+    scale = lcm(*{w.denominator
+                  for ws in (instance.weights, space.weights) for w in ws})
+    need = [w.numerator * (scale // w.denominator) for w in instance.weights]
+    mass = {a: w.numerator * (scale // w.denominator)
+            for a, w in zip(space.ids, space.weights)}
+    unbounded = sum(need) + 1
+
+    def surplus(forced, free):
+        """max of w_T - mu(C_T) over forced <= T <= forced + free."""
+        covered = set()
+        gain = 0
+        for i in forced:
+            covered |= events[i]
+            gain += need[i]
+        gain -= sum(mass[a] for a in covered)
+        # node 0 is the source, 1 the sink; atoms are numbered as met
+        atom_node = {}
+        size = 2
+        arcs = []
+        for i in free:
+            if not need[i]:
+                continue
+            gain += need[i]
+            rest = events[i] - covered
+            if not rest:  # costs nothing more: always worth taking
+                continue
+            item = size
+            size += 1
+            arcs.append((0, item, need[i]))
+            for a in rest:
+                if a not in atom_node:
+                    atom_node[a] = size
+                    size += 1
+                    arcs.append((size - 1, 1, mass[a]))
+                arcs.append((item, atom_node[a], unbounded))
+        return gain - _min_cut(size, arcs, 0, 1) if arcs else gain
+
+    if surplus((), range(n)) <= 0:
+        return True, None
+    chosen = []
+    j = 0
+    while not chosen or surplus(chosen, ()) <= 0:
+        while surplus(chosen + [j], range(j + 1, n)) <= 0:
+            j += 1
+        chosen.append(j)
+        j += 1
+    # tuple() of a list, not of a generator: CPython resizes the latter,
+    # and resized tuples pile up in its free lists
+    return False, tuple([instance.ids[i] for i in chosen])
 
 
 class Allocation:
@@ -166,9 +290,8 @@ def solve_allocation(instance):
     to integers by the common denominator, then integral max-flow.
     """
     space = instance.space
-    denoms = [w.denominator for w in instance.weights]
-    denoms += [w.denominator for w in space.weights]
-    scale = lcm(*denoms) if denoms else 1
+    scale = lcm(*{w.denominator
+                  for ws in (instance.weights, space.weights) for w in ws})
     n_items = len(instance)
     n_atoms = len(space)
     source = 0

@@ -12,8 +12,6 @@ act pointwise (rv_eval).
 """
 
 from .rationals import HALF, ONE, ZERO, format_rat, is_unit_interval, parse_rat, rat
-from . import syntax
-from .syntax import Atom, Half, Monus, Neg, conj
 
 
 class FiniteProbSpace:
@@ -157,6 +155,8 @@ def rv_eval(term, env, space):
 
     Atoms name entries of env; neg, half and (a - b) act coordinatewise.
     """
+    from . import syntax
+
     for name, x in env.items():
         if x.space != space:
             raise ValueError("env entry %r lives on a different space" % (name,))
@@ -169,27 +169,16 @@ def rv_eval(term, env, space):
 
     values = syntax.fold(*syntax.subformulas(term), {
         syntax.Const0: lambda f: (ZERO,) * len(space),
-        Atom: atom,
-        Neg: lambda f, v: tuple(ONE - x for x in v),
-        Half: lambda f, v: tuple(x * HALF for x in v),
-        Monus: lambda f, a, b: tuple(x - y if x > y else ZERO for x, y in zip(a, b)),
+        syntax.Atom: atom,
+        syntax.Neg: lambda f, v: tuple(ONE - x for x in v),
+        syntax.Half: lambda f, v: tuple(x * HALF for x in v),
+        syntax.Monus: lambda f, a, b: tuple(
+            x - y if x > y else ZERO for x, y in zip(a, b)),
     })
     return RandomVariable(space, values[-1])
 
 
 # --- axiom residuals ------------------------------------------------------------
-
-_X, _Y, _Z = Atom("x"), Atom("y"), Atom("z")
-
-#: closed forms whose expectation must vanish in every finite model
-_RV_TERMS = {
-    "RV4.1": Monus(Monus(_X, _Y), _X),
-    "RV4.2": Monus(Monus(Monus(_X, _Z), Monus(_X, _Y)), Monus(_Y, _Z)),
-    "RV4.3": Monus(conj(_X, _Y), conj(_Y, _X)),
-    "RV4.4": Monus(Monus(_X, _Y), Monus(Neg(_Y), Neg(_X))),
-    "RV4.5": Monus(Half(_X), Monus(_X, Half(_X))),
-    "RV4.6": Monus(Monus(_X, Half(_X)), Half(_X)),
-}
 
 
 def check_rv_axioms(space, samples):
@@ -207,6 +196,19 @@ def check_rv_axioms(space, samples):
     for s in samples:
         if s.space != space:
             raise ValueError("sample on a different space")
+    from . import syntax
+    from .syntax import Atom, Half, Monus, Neg, conj
+
+    X, Y, Z = Atom("x"), Atom("y"), Atom("z")
+    # closed forms whose expectation must vanish in every finite model
+    terms = {
+        "RV4.1": Monus(Monus(X, Y), X),
+        "RV4.2": Monus(Monus(Monus(X, Z), Monus(X, Y)), Monus(Y, Z)),
+        "RV4.3": Monus(conj(X, Y), conj(Y, X)),
+        "RV4.4": Monus(Monus(X, Y), Monus(Neg(Y), Neg(X))),
+        "RV4.5": Monus(Half(X), Monus(X, Half(X))),
+        "RV4.6": Monus(Monus(X, Half(X)), Half(X)),
+    }
     one_rv = rv_eval(syntax.one(), {}, space)
     report = {"RV2": abs(expectation(one_rv) - 1)}
 
@@ -223,14 +225,14 @@ def check_rv_axioms(space, samples):
     for x in samples:
         env = {"x": x}
         report["RV4.5"] = max(
-            report["RV4.5"], term_residual(_RV_TERMS["RV4.5"], env)
+            report["RV4.5"], term_residual(terms["RV4.5"], env)
         )
         report["RV4.6"] = max(
-            report["RV4.6"], term_residual(_RV_TERMS["RV4.6"], env)
+            report["RV4.6"], term_residual(terms["RV4.6"], env)
         )
         # RV5 is the metric form of the same halving identity
-        half_x = rv_eval(Half(_X), env, space)
-        x_minus_half = rv_eval(Monus(_X, Half(_X)), env, space)
+        half_x = rv_eval(Half(X), env, space)
+        x_minus_half = rv_eval(Monus(X, Half(X)), env, space)
         report["RV5"] = max(report["RV5"], l1_dist(half_x, x_minus_half))
         # scalar linearity at the only definable scalar, one half
         report["LinearE"] = max(
@@ -240,8 +242,8 @@ def check_rv_axioms(space, samples):
     for x in samples:
         for y in samples:
             env = {"x": x, "y": y}
-            x_monus_y = rv_eval(Monus(_X, _Y), env, space)
-            y_and_x = rv_eval(conj(_Y, _X), env, space)
+            x_monus_y = rv_eval(Monus(X, Y), env, space)
+            y_and_x = rv_eval(conj(Y, X), env, space)
             report["RV1"] = max(
                 report["RV1"],
                 abs(
@@ -250,7 +252,7 @@ def check_rv_axioms(space, samples):
                     - expectation(y_and_x)
                 ),
             )
-            y_monus_x = rv_eval(Monus(_Y, _X), env, space)
+            y_monus_x = rv_eval(Monus(Y, X), env, space)
             report["RV3"] = max(
                 report["RV3"],
                 abs(
@@ -261,11 +263,11 @@ def check_rv_axioms(space, samples):
             )
             for key in ("RV4.1", "RV4.3", "RV4.4"):
                 report[key] = max(
-                    report[key], term_residual(_RV_TERMS[key], env)
+                    report[key], term_residual(terms[key], env)
                 )
             # additivity holds whenever the plain sum never overflows 1
             if all(a + b <= 1 for a, b in zip(x.values, y.values)):
-                total = rv_eval(syntax.truncated_add(_X, _Y), env, space)
+                total = rv_eval(syntax.truncated_add(X, Y), env, space)
                 report["LinearE"] = max(
                     report["LinearE"],
                     abs(expectation(total) - expectation(x) - expectation(y)),
@@ -281,7 +283,7 @@ def check_rv_axioms(space, samples):
             for z in samples:
                 env = {"x": x, "y": y, "z": z}
                 report["RV4.2"] = max(
-                    report["RV4.2"], term_residual(_RV_TERMS["RV4.2"], env)
+                    report["RV4.2"], term_residual(terms["RV4.2"], env)
                 )
     order = [
         "RV1", "RV2", "RV3", "RV4.1", "RV4.2", "RV4.3", "RV4.4", "RV4.5",
@@ -568,6 +570,9 @@ def square_approximant(n):
     """
     if n < 0:
         raise ValueError("stage must be nonnegative")
+    from . import syntax
+    from .syntax import Atom, Half, Monus, Neg, conj
+
     x = Atom("x")
     g = x
     wave = None

@@ -9,6 +9,7 @@ the modules under test.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -206,3 +207,35 @@ def random_weights(rng, n, max_den=10):
         parts[i] += 1
         parts[j] -= 1
     return [Fraction(p, max_den * n) for p in parts]
+
+
+def hall_condition_by_enumeration(instance):
+    """Hall's condition over all 2^n item subsets: (True, None), or (False,
+    T) for the lexicographically-least violating T in declared item order.
+
+    Subsets are visited depth first, each extending its prefix by a later
+    item, which is lexicographic order of their index tuples; weights are
+    compared as integers over their common denominator."""
+    n = len(instance.ids)
+    scale = math.lcm(*(w.denominator for w in
+                       instance.weights + instance.space.weights))
+    need = [int(w * scale) for w in instance.weights]
+    mass = {a: int(w * scale)
+            for a, w in zip(instance.space.ids, instance.space.weights)}
+
+    def first_violation(prefix, total, union):
+        for i in range(prefix[-1] + 1 if prefix else 0, n):
+            chosen = prefix + (i,)
+            grown = union | instance.events[i]
+            more = total + need[i]
+            if sum(mass[a] for a in grown) < more:
+                return chosen
+            found = first_violation(chosen, more, grown)
+            if found:
+                return found
+        return None
+
+    chosen = first_violation((), 0, frozenset())
+    if chosen is None:
+        return True, None
+    return False, tuple(instance.ids[i] for i in chosen)

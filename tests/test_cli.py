@@ -623,7 +623,13 @@ def test_valid_imports_only_the_standard_library(tmp_path):
     assert out == ['{"cmd":"hall","status":"infeasible","holds":false,'
                    '"violating":["x","y"]}']
     assert not new & {"clog.semantics", "clog.kernel", "clog.branches",
-                      "clog.simplex", "clog.proofs", "clog.randomisation"}
+                      "clog.simplex", "clog.proofs", "clog.randomisation",
+                      "clog.syntax"}
+
+    out, new = _loaded_by(["rv", "dist", str(paths["x"]), str(paths["y"])])
+    assert out == ['{"cmd":"rv dist","status":"ok","d":"1/4"}']
+    assert {m for m in new if m.startswith("clog")} == {
+        "clog", "clog.cli", "clog.rationals", "clog.rv"}
 
     out, new = _loaded_by(["find-proof", "-e", "(p - p)", "--depth", "9"])
     assert json.loads(out[0])["lines"] == 9

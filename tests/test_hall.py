@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,3 +188,85 @@ def test_json_round_trip():
     assert back == alloc
     with pytest.raises(ValueError):
         hall.instance_from_json({"items": []})
+
+
+def parity_instance(rng):
+    """0-14 items over 1-6 atoms; some weights are zero, some events empty."""
+    n_atoms = rng.randint(1, 6)
+    ws = oracles.random_weights(rng, n_atoms)
+    sp = FiniteProbSpace([("a%d" % i, w) for i, w in enumerate(ws)])
+    n_items = rng.randint(0, 14)
+    den = rng.choice([2, 3, 4]) * max(n_items, 1)
+    items = []
+    for i in range(n_items):
+        w = Fraction(rng.randint(0, 3), den) if rng.random() > 0.15 else 0
+        if rng.random() < 0.08:
+            ev = []
+        else:
+            ev = [a for a in sp.ids if rng.random() < 0.4]
+        items.append(("x%d" % i, w, ev))
+    return hall.HallInstance(sp, items)
+
+
+def test_condition_matches_enumeration():
+    """The min-cut route pins the same least violator as all 2^n subsets."""
+    rng = random.Random(42)
+    holds = fails = longer = 0
+    for _ in range(1000):
+        inst = parity_instance(rng)
+        want = oracles.hall_condition_by_enumeration(inst)
+        assert hall.hall_condition(inst) == want, hall.instance_to_json(inst)
+        holds += want[0]
+        fails += not want[0]
+        longer += not want[0] and len(want[1]) >= 3
+    assert holds >= 200 and fails >= 500 and longer >= 50
+
+
+def planted_instance(rng, n_items, n_atoms, feasible):
+    """An instance whose answer is known by construction, and the ids of
+    its least violator (None when feasible).
+
+    Masses come in whole units of 1/(128 * atoms).  Each item takes at most
+    a quarter of what each atom of its event still has, so every atom keeps
+    at least one unit.  An infeasible instance also has three items, spread
+    over the order with one of them last, on one or two reserved atoms:
+    together they ask half a unit more than those atoms hold, so exactly
+    these three violate, and the search meets them only at the last item.
+    """
+    unit = 128 * n_atoms
+    atoms = ["a%d" % i for i in range(n_atoms)]
+    weights = oracles.random_weights(rng, n_atoms)
+    sp = FiniteProbSpace(list(zip(atoms, weights)))
+    reserved = [] if feasible else rng.sample(atoms, rng.randint(1, 2))
+    shared = [a for a in atoms if a not in reserved]
+    left = {a: w * unit for a, w in zip(atoms, weights)}
+    blocked = set()
+    if not feasible:
+        blocked = set(rng.sample(range(n_items - 1), 2)) | {n_items - 1}
+        mass = sum(w for a, w in zip(atoms, weights) if a in reserved)
+        need = (mass + Fraction(1, 2 * unit)) / 3
+    items = []
+    for i in range(n_items):
+        if i in blocked:
+            items.append(("x%d" % i, need, reserved))
+            continue
+        event = rng.sample(shared, rng.randint(1, 4))
+        total = 0
+        for a in event:
+            take = rng.randint(0, int(left[a]) // 4)
+            left[a] -= take
+            total += take
+        items.append(("x%d" % i, Fraction(total, unit), event))
+    violator = tuple("x%d" % i for i in sorted(blocked)) or None
+    return hall.HallInstance(sp, items), violator
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_condition_on_200_items(feasible):
+    inst, violator = planted_instance(random.Random(43), 200, 40, feasible)
+    t0 = time.perf_counter()
+    ok, bad = hall.hall_condition(inst, bound=200)
+    elapsed = time.perf_counter() - t0
+    assert (ok, bad) == (feasible, violator)
+    assert (hall.solve_allocation(inst) is None) == (not ok)
+    assert elapsed < 1.0, "took %.2fs" % elapsed
