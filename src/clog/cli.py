@@ -3,10 +3,10 @@
 Every operation is a subcommand printing a single-line JSON report:
 {"cmd": <subcommand echo>, "status": "ok"|"fail"|"infeasible", ...payload}.
 Exit code is 0 exactly when the status is "ok"; domain errors (bad files,
-unparsable formulas, module ValueErrors, terms or JSON files nested deeper
-than Python's stack) exit 1 with an "error" field, and usage errors exit 2
-via argparse.  Rationals are printed reduced as "p/q" with an explicit
-positive denominator so reports are byte-stable.
+unparsable formulas, module ValueErrors, inputs over a cap in LIMITS, terms
+or JSON files nested deeper than Python's stack) exit 1 with an "error"
+field, and usage errors exit 2 via argparse.  Rationals are printed reduced
+as "p/q" with an explicit positive denominator so reports are byte-stable.
 
 Commands that assert a property (valid, sat, entail, check-proof, rand los,
 hall, ...) report status "ok" when the property holds and "fail" (or
@@ -25,23 +25,43 @@ import sys
 from .rationals import format_rat, parse_rat, rat
 
 DEFAULT_BRANCH_BUDGET = 24
-# rv tauphi loops 2^n times at stage n; 16 takes a few seconds
-MAX_TAUPHI_STAGE = 16
-# rv check is cubic in its sample count and rand axioms quadratic (times the
-# 2^n events of an n-atom space); at these caps each takes a few seconds on
-# a space of three or four atoms
-MAX_RV_SAMPLES = 24
-MAX_RAND_SAMPLES = 128
-# rv arv-defect's cell search grows about 4.5x per atom; 5 atoms take seconds
-MAX_ARV_ATOMS = 5
-# rand axioms' R3 check doubles per atom; at 128 samples on 3-element
-# universes 5 atoms took about 6 s and 6 atoms 11 s on 2 vCPUs
-MAX_RAND_AXIOM_ATOMS = 5
-# hall's --bound caps an instance's item count; the min-cut condition needs
-# no cap, but the command keeps it.  The default and the cap of --bound,
-# equal to hall.DEFAULT_SUBSET_BOUND (the parser must not import hall to
-# read it; a test pins the two)
-MAX_HALL_BOUND = 20
+# The CLI's work limits; the library runs unbounded.  Each entry is
+# (cap, reason, error text), the text formatted with the cap and reason.
+LIMITS = {
+    # stage 16 takes a few seconds
+    "rv tauphi --n": (
+        16, "the stage loops 2^n times", "--n is at most %d (%s)"),
+    # a few seconds at the cap on a space of three or four atoms
+    "rv check --samples": (
+        24, "the check is cubic in it", "--samples is at most %d (%s)"),
+    # 5 atoms take seconds
+    "rv arv-defect atoms": (
+        5, "the search grows about 4.5x per atom",
+        "rv arv-defect takes at most %d atoms (%s)"),
+    # quadratic times the 2^n events of an n-atom space: a few seconds at
+    # the cap on a space of three or four atoms
+    "rand axioms --samples": (
+        128, "the check is quadratic in it", "--samples is at most %d (%s)"),
+    # at 128 samples on 3-element universes 5 atoms took about 6 s and
+    # 6 atoms 11 s on 2 vCPUs
+    "rand axioms atoms": (
+        5, "R3 checks all 2^n events per sample pair",
+        "rand axioms takes at most %d atoms (%s)"),
+    # the condition itself needs no cap.  On 2 vCPUs the slowest of six
+    # seeded infeasible 16-atom instances took 0.08 s at 100 items, 0.27 s
+    # at 200 and 0.54 s at 500 and 1,000; a whole `clog hall` run at 200
+    # items took at most 0.5 s infeasible and 0.17 s feasible
+    "hall items": (
+        200, "pinning the least violator takes up to n + 1 min-cuts",
+        "hall takes at most %d items (%s)"),
+}
+
+
+def _within(limit, value):
+    """Refuse value above the cap of LIMITS[limit] with its error text."""
+    cap, reason, text = LIMITS[limit]
+    if value > cap:
+        raise ValueError(text % (cap, reason))
 
 
 def _budget():
@@ -251,9 +271,7 @@ def _cmd_elim_half(args, parser):
 
 
 def _cmd_rv_check(args, parser):
-    if args.samples > MAX_RV_SAMPLES:
-        raise ValueError(
-            "--samples is at most %d (the check is cubic in it)" % MAX_RV_SAMPLES)
+    _within("rv check --samples", args.samples)
     from . import rv
 
     space = rv.space_from_json(_load_json(args.space))
@@ -271,10 +289,7 @@ def _cmd_rv_arv_defect(args, parser):
     from . import rv
 
     x = rv.rv_from_json(_load_json(args.rv))
-    if len(x.space) > MAX_ARV_ATOMS:
-        raise ValueError(
-            "rv arv-defect takes at most %d atoms (the search grows about 4.5x "
-            "per atom)" % MAX_ARV_ATOMS)
+    _within("rv arv-defect atoms", len(x.space))
     if args.witness:
         value, witness = rv.arv_defect(x.space, x, with_witness=True)
         return "ok", {
@@ -315,9 +330,7 @@ def _cmd_rv_condexp(args, parser):
 
 
 def _cmd_rv_tauphi(args, parser):
-    if args.n > MAX_TAUPHI_STAGE:
-        raise ValueError(
-            "--n is at most %d (the stage loops 2^n times)" % MAX_TAUPHI_STAGE)
+    _within("rv tauphi --n", args.n)
     from . import rv
 
     f = rv.rv_from_json(_load_json(args.rv))
@@ -351,19 +364,13 @@ def _cmd_rand_eval(args, parser):
 
 
 def _cmd_rand_axioms(args, parser):
-    if args.samples > MAX_RAND_SAMPLES:
-        raise ValueError(
-            "--samples is at most %d (the check is quadratic in it)"
-            % MAX_RAND_SAMPLES)
+    _within("rand axioms --samples", args.samples)
     import random
 
     from . import randomisation
 
     family = randomisation.family_from_json(_load_json(args.family))
-    if len(family.space) > MAX_RAND_AXIOM_ATOMS:
-        raise ValueError(
-            "rand axioms takes at most %d atoms (R3 checks all 2^n events per "
-            "sample pair)" % MAX_RAND_AXIOM_ATOMS)
+    _within("rand axioms atoms", len(family.space))
     rng = random.Random(args.seed)
     sections = []
     for _ in range(args.samples):
@@ -454,15 +461,11 @@ def _cmd_rand_inf_witness(args, parser):
 
 
 def _cmd_hall(args, parser):
-    if args.bound > MAX_HALL_BOUND:
-        raise ValueError(
-            "--bound is at most %d (an item cap the command keeps; the condition"
-            " itself is decided by min-cuts)"
-            % MAX_HALL_BOUND)
     from . import hall
 
     instance = hall.instance_from_json(_load_json(args.instance))
-    holds, violating = hall.hall_condition(instance, bound=args.bound)
+    _within("hall items", len(instance))
+    holds, violating = hall.hall_condition(instance)
     if not holds:
         return "infeasible", {"holds": False, "violating": list(violating)}
     allocation = hall.solve_allocation(instance)
@@ -533,7 +536,8 @@ def _build_parser():
     p = rv_sub.add_parser("check", help="axiom residuals on random samples")
     p.add_argument("space", help="probability space JSON file")
     p.add_argument("--samples", type=_nonnegative_int, default=12,
-                   help="sample variables (2 to %d)" % MAX_RV_SAMPLES)
+                   help="sample variables (2 to %d)"
+                   % LIMITS["rv check --samples"][0])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_rv_check, echo="rv check")
 
@@ -562,7 +566,7 @@ def _build_parser():
                           help="staged integral approximation over an event")
     p.add_argument("rv", help="random variable JSON file")
     p.add_argument("--n", type=int, required=True,
-                   help="stage (1 to %d)" % MAX_TAUPHI_STAGE)
+                   help="stage (1 to %d)" % LIMITS["rv tauphi --n"][0])
     p.add_argument("--event", required=True, metavar="ATOMS",
                    help="event, comma-separated atom ids")
     p.set_defaults(handler=_cmd_rv_tauphi, echo="rv tauphi")
@@ -579,7 +583,8 @@ def _build_parser():
     p = rand_sub.add_parser("axioms", help="axiom residuals on random sections")
     p.add_argument("family", help="random family JSON file")
     p.add_argument("--samples", type=_nonnegative_int, default=8,
-                   help="sample sections (2 to %d)" % MAX_RAND_SAMPLES)
+                   help="sample sections (2 to %d)"
+                   % LIMITS["rand axioms --samples"][0])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_rand_axioms, echo="rand axioms")
 
@@ -621,11 +626,8 @@ def _build_parser():
 
     p = sub.add_parser("hall",
                        help="marriage condition and mass allocation")
-    p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--bound", type=_nonnegative_int,
-                   default=MAX_HALL_BOUND,
-                   help="largest item count to accept (at most %d)"
-                   % MAX_HALL_BOUND)
+    p.add_argument("instance", help="instance JSON file (up to %d items)"
+                   % LIMITS["hall items"][0])
     p.set_defaults(handler=_cmd_hall, echo="hall")
 
     return parser

@@ -16,8 +16,6 @@ from math import lcm
 from .rationals import ZERO, format_rat, parse_rat, rat
 from .rv import FiniteProbSpace, space_from_json, space_to_json
 
-DEFAULT_SUBSET_BOUND = 20
-
 
 @lru_cache(maxsize=1024)
 def _shared(event):
@@ -131,7 +129,7 @@ def _min_cut(n_nodes, arcs, source, sink):
     return excess[sink]
 
 
-def hall_condition(instance, bound=DEFAULT_SUBSET_BOUND):
+def hall_condition(instance):
     """(True, None) if mu(C_T) >= w_T for every subset T of items, else
     (False, T) for the lexicographically-least violating T (in declared
     item order).
@@ -146,8 +144,6 @@ def hall_condition(instance, bound=DEFAULT_SUBSET_BOUND):
     violate by themselves.  At most |S| + 1 cuts in all.
     """
     n = len(instance)
-    if n > bound:
-        raise ValueError("instance has %d items, bound is %d" % (n, bound))
     space = instance.space
     events = instance.events
     scale = lcm(*{w.denominator
@@ -217,12 +213,6 @@ class Allocation:
 
     def mass(self, item_id, atom_id):
         return self.masses.get((item_id, atom_id), ZERO)
-
-    def item_total(self, item_id):
-        return sum(
-            (m for (x, _), m in self.masses.items() if x == item_id),
-            start=ZERO,
-        )
 
     def atom_total(self, atom_id):
         return sum(
@@ -321,24 +311,21 @@ def solve_allocation(instance):
 
 
 def verify_allocation(instance, allocation):
-    """Exact check of every allocation invariant; never raises on content."""
+    """Exact check of every allocation invariant, in one pass over the
+    masses; never raises on content."""
     space = instance.space
-    atoms = set(space.ids)
-    items = set(instance.ids)
+    event_of = dict(zip(instance.ids, instance.events))
+    item_total = dict.fromkeys(instance.ids, ZERO)
+    atom_total = dict.fromkeys(space.ids, ZERO)
     for (x, a), m in allocation.masses.items():
-        if x not in items or a not in atoms:
+        # an item's event holds only atoms of the space
+        if a not in event_of.get(x, ()) or m < 0:
             return False
-        if m < 0:
-            return False
-        if a not in instance.events[instance.ids.index(x)]:
-            return False
-    for x, w in zip(instance.ids, instance.weights):
-        if allocation.item_total(x) != w:
-            return False
-    for a, w in zip(space.ids, space.weights):
-        if allocation.atom_total(a) > w:
-            return False
-    return True
+        item_total[x] += m
+        atom_total[a] += m
+    return all(
+        item_total[x] == w for x, w in zip(instance.ids, instance.weights)
+    ) and all(atom_total[a] <= w for a, w in zip(space.ids, space.weights))
 
 
 def realizable_labels(instance, allocation):

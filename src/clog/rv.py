@@ -66,7 +66,7 @@ class FiniteProbSpace:
     def event(self, ids):
         """Validated event: a frozenset of this space's atom ids."""
         ev = frozenset(str(a) for a in ids)
-        bad = ev - set(self.ids)
+        bad = ev.difference(self._index)  # no set of self.ids is built
         if bad:
             raise ValueError("not atoms of the space: %s" % sorted(bad))
         return ev

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -16,6 +17,7 @@ from clog.cli import main
 from clog.rationals import rat
 from clog.syntax import Signature
 
+import test_hall
 import test_randomisation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -260,7 +262,7 @@ def test_rv_tauphi_stage_cap(capsys, tmp_path):
         ["rv", "tauphi", str(paths["x"]), "--n", "17", "--event", "w1"],
     )
     assert rc == 1
-    assert "at most 16" in json.loads(out)["error"]
+    assert "at most %d" % cli.LIMITS["rv tauphi --n"][0] in json.loads(out)["error"]
 
 
 # --- rand ---------------------------------------------------------------------------
@@ -387,12 +389,25 @@ def test_hall_infeasible_golden(capsys, tmp_path):
     )
 
 
-def test_hall_bound_too_small(capsys, tmp_path):
-    paths = write_fixtures(tmp_path)
-    rc, out = run(capsys, ["hall", str(paths["hall_pair"]), "--bound", "1"])
-    assert rc == 1
+@pytest.mark.parametrize("feasible", [True, False])
+def test_hall_answers_at_the_item_cap(capsys, tmp_path, feasible):
+    cap = cli.LIMITS["hall items"][0]
+    inst, violator = test_hall.planted_instance(
+        random.Random(43), cap, 40, feasible)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(hall.instance_to_json(inst)))
+    rc, out = run(capsys, ["hall", str(path)])
+    if not feasible:
+        assert rc == 1
+        assert out == (
+            '{"cmd":"hall","status":"infeasible","holds":false,'
+            '"violating":%s}\n' % json.dumps(list(violator), separators=(",", ":")))
+        return
+    assert rc == 0
     report = json.loads(out)
-    assert report["status"] == "fail" and "error" in report
+    assert report["status"] == "ok" and report["holds"]
+    allocation = hall.allocation_from_json({"masses": report["allocation"]})
+    assert hall.verify_allocation(inst, allocation)
 
 
 # --- plumbing -----------------------------------------------------------------------
@@ -414,7 +429,7 @@ def test_usage_errors_exit_2(capsys):
         ["find-proof", "-e", "p", "--depth", "-1"],
         ["rv", "check", "space.json", "--samples", "-1"],
         ["rand", "axioms", "family.json", "--samples", "-3"],
-        ["hall", "instance.json", "--bound", "-1"],
+        ["hall", "instance.json", "--bound", "5"],  # no such option
     ]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -445,40 +460,70 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert rc == 1
     assert "error" in json.loads(out)
 
-    # sample counts above the documented caps
+
+
+#: The error of each LIMITS entry, pinned byte for byte.
+LIMIT_ERRORS = {
+    "rv tauphi --n": "--n is at most 16 (the stage loops 2^n times)",
+    "rv check --samples": "--samples is at most 24 (the check is cubic in it)",
+    "rv arv-defect atoms": "rv arv-defect takes at most 5 atoms "
+                           "(the search grows about 4.5x per atom)",
+    "rand axioms --samples": "--samples is at most 128 "
+                             "(the check is quadratic in it)",
+    "rand axioms atoms": "rand axioms takes at most 5 atoms "
+                         "(R3 checks all 2^n events per sample pair)",
+    "hall items": "hall takes at most 200 items "
+                  "(pinning the least violator takes up to n + 1 min-cuts)",
+}
+
+
+def test_every_limit_is_enforced_and_documented(capsys, tmp_path):
+    """One over each cap exits 1 with its entry's error, and README's
+    command table states the cap."""
     paths = write_fixtures(tmp_path)
-    for argv, cap in [
-        (["rv", "check", str(paths["space"])], cli.MAX_RV_SAMPLES),
-        (["rand", "axioms", str(paths["family"])], cli.MAX_RAND_SAMPLES),
-    ]:
-        rc, out = run(capsys, argv + ["--samples", str(cap + 1)])
-        assert rc == 1
-        assert json.loads(out)["error"].startswith("--samples is at most %d " % cap)
-    # a space with more atoms than the defect search is allowed
-    six = rv.RandomVariable(
-        rv.FiniteProbSpace.uniform(["a%d" % i for i in range(6)]),
-        [rat(i, 5) for i in range(6)])
-    paths["six"] = tmp_path / "six.json"
-    paths["six"].write_text(json.dumps(rv.rv_to_json(six)))
-    rc, out = run(capsys, ["rv", "arv-defect", str(paths["six"])])
-    assert rc == 1
-    assert json.loads(out)["error"].startswith(
-        "rv arv-defect takes at most %d atoms " % cli.MAX_ARV_ATOMS)
-    # a family with more atoms than the axiom check is allowed
-    six_family = randomisation.RandomFamily(
-        rv.FiniteProbSpace.uniform(["w%d" % i for i in range(6)]),
-        test_randomisation.two_point_family().structures[:1] * 6)
-    paths["six_family"] = tmp_path / "six_family.json"
-    paths["six_family"].write_text(
-        json.dumps(randomisation.family_to_json(six_family)))
-    rc, out = run(capsys, ["rand", "axioms", str(paths["six_family"])])
-    assert rc == 1
-    assert json.loads(out)["error"].startswith(
-        "rand axioms takes at most %d atoms " % cli.MAX_RAND_AXIOM_ATOMS)
-    # the subset bound is refused before the instance is even read
-    rc, out = run(capsys, ["hall", "/nonexistent.json", "--bound", "21"])
-    assert rc == 1
-    assert json.loads(out)["error"].startswith("--bound is at most 20 ")
+
+    def over(name):
+        return cli.LIMITS[name][0] + 1
+
+    rv_file = tmp_path / "rv.json"
+    atoms = ["a%d" % i for i in range(over("rv arv-defect atoms"))]
+    rv_file.write_text(json.dumps(rv.rv_to_json(rv.RandomVariable(
+        rv.FiniteProbSpace.uniform(atoms), [rat(i, 5) for i in range(len(atoms))]))))
+    family_file = tmp_path / "wide_family.json"
+    atoms = ["w%d" % i for i in range(over("rand axioms atoms"))]
+    family_file.write_text(json.dumps(randomisation.family_to_json(
+        randomisation.RandomFamily(
+            rv.FiniteProbSpace.uniform(atoms),
+            test_randomisation.two_point_family().structures[:1] * len(atoms)))))
+    hall_file = tmp_path / "big_instance.json"
+    inst, _ = test_hall.planted_instance(
+        random.Random(43), over("hall items"), 40, False)
+    hall_file.write_text(json.dumps(hall.instance_to_json(inst)))
+    argvs = {
+        "rv tauphi --n": ["rv", "tauphi", str(paths["x"]), "--event", "w1",
+                          "--n", str(over("rv tauphi --n"))],
+        "rv check --samples": ["rv", "check", str(paths["space"]), "--samples",
+                               str(over("rv check --samples"))],
+        "rv arv-defect atoms": ["rv", "arv-defect", str(rv_file)],
+        "rand axioms --samples": ["rand", "axioms", str(paths["family"]),
+                                  "--samples", str(over("rand axioms --samples"))],
+        "rand axioms atoms": ["rand", "axioms", str(family_file)],
+        "hall items": ["hall", str(hall_file)],
+    }
+    assert set(argvs) == set(cli.LIMITS) == set(LIMIT_ERRORS)
+    rows = [line for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("| `")]
+    for name, (cap, reason, text) in cli.LIMITS.items():
+        rc, out = run(capsys, argvs[name])
+        assert rc == 1, name
+        assert json.loads(out)["error"] == text % (cap, reason) == LIMIT_ERRORS[name]
+        *command, what = name.split()
+        (row,) = [r for r in rows if r.startswith("| `" + command[0])]
+        assert command[-1] in row, name
+        if what.startswith("--"):
+            assert "`%s %s` is at most %d" % (command[-1], what, cap) in row, name
+        else:
+            assert "at most %d %s" % (cap, what) in row, name
 
 
 def test_branch_budget_env(capsys, monkeypatch):
@@ -637,7 +682,3 @@ def test_valid_imports_only_the_standard_library(tmp_path):
     assert {m for m in new if m.startswith("clog")} - cli_own == {
         "clog.proofs", "clog.syntax"}
 
-
-def test_hall_bound_is_the_library_default():
-    # the parser states the cap without importing hall
-    assert cli.MAX_HALL_BOUND == hall.DEFAULT_SUBSET_BOUND

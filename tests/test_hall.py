@@ -32,7 +32,7 @@ def test_condition_examples():
     assert hall.hall_condition(fine) == (True, None)
 
 
-def test_condition_least_violation_and_bound():
+def test_condition_least_violation():
     sp = uniform2()
     # subsets are tried in lexicographic order of the declared item ids:
     # (x), (x,y), (y).  Supersets of x stay fine because C_x is everything,
@@ -47,8 +47,6 @@ def test_condition_least_violation_and_bound():
         sp, [("x", rat(1, 4), ["w1"]), ("y", 1, ["w2"])]
     )
     assert hall.hall_condition(pair) == (False, ("x", "y"))
-    with pytest.raises(ValueError):
-        hall.hall_condition(pair, bound=1)
 
 
 def test_instance_validation():
@@ -102,6 +100,18 @@ def test_verify_rejects_bad_allocations():
     assert not hall.verify_allocation(inst, short)
     over = hall.Allocation({("x", "w1"): 1})
     assert not hall.verify_allocation(inst, over)
+    stranger = hall.Allocation({("x", "w1"): rat(1, 2), ("z", "w2"): rat(1, 4)})
+    assert not hall.verify_allocation(inst, stranger)
+    foreign = hall.Allocation({("x", "w1"): rat(1, 2), ("x", "w9"): rat(1, 4)})
+    assert not hall.verify_allocation(inst, foreign)
+    # each item gets its weight, but together they overdraw w1
+    pair = hall.HallInstance(
+        sp, [("x", rat(1, 2), ["w1", "w2"]), ("y", rat(1, 2), ["w1", "w2"])])
+    crowded = hall.Allocation({("x", "w1"): rat(1, 2), ("y", "w1"): rat(1, 2)})
+    assert not hall.verify_allocation(pair, crowded)
+    shared = hall.Allocation({("x", "w1"): rat(1, 4), ("x", "w2"): rat(1, 4),
+                              ("y", "w1"): rat(1, 4), ("y", "w2"): rat(1, 4)})
+    assert hall.verify_allocation(pair, shared)
 
 
 def random_instance(rng):
@@ -265,7 +275,7 @@ def planted_instance(rng, n_items, n_atoms, feasible):
 def test_condition_on_200_items(feasible):
     inst, violator = planted_instance(random.Random(43), 200, 40, feasible)
     t0 = time.perf_counter()
-    ok, bad = hall.hall_condition(inst, bound=200)
+    ok, bad = hall.hall_condition(inst)
     elapsed = time.perf_counter() - t0
     assert (ok, bad) == (feasible, violator)
     assert (hall.solve_allocation(inst) is None) == (not ok)
