@@ -8,11 +8,12 @@ expression.  A term with k split nodes has at most 2^k sign vectors but only
 polynomially many feasible cells (a hyperplane arrangement), so the sides
 are explored depth-first with the current constraint set checked for
 feasibility at every step: first against a witness point carried along the
-search, then (on a miss) with an exact rational LP.  A side that holds
-only on a face of the box is skipped when it comes second: the positive
-side of 0 - a holds only where a = 0, the zero side holds everywhere, and
-both take the same value on that face.  So the chain 0 - a0 - ... - a(k-1)
-is one cell, not 2^k.
+search, then (on a miss) with an exact LP, which simplex.py pivots in
+integers over one common denominator and turns into Fractions only at the
+answer.  A side that holds only on a face of the box is skipped when it
+comes second: the positive side of 0 - a holds only where a = 0, the zero
+side holds everywhere, and both take the same value on that face.  So the
+chain 0 - a0 - ... - a(k-1) is one cell, not 2^k.
 
 A term is given as a list of nodes in the order they were built, children
 before parents, each naming its children by position in the list; the
@@ -142,6 +143,10 @@ class CellEnumerator:
     # ---- feasibility ----------------------------------------------------
 
     def _lp_rows(self, constraints):
+        # the Affines' own rows, not their gcd-reduced keys: phase 1 weighs
+        # each row's artificial by that row's scale, so a rescaled row can
+        # leave phase 1 at another vertex, and the carried witness point
+        # (hence the cell order and the countermodels) would move
         return [
             ([aff.coeffs.get(v, ZERO) for v in self.variables], aff.const)
             for aff in constraints.values()

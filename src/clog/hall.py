@@ -293,10 +293,11 @@ def solve_allocation(instance):
     item_atom_start = len(arcs)
     pair_of_arc = []
     for i, ev in enumerate(instance.events):
-        for a in ev:
-            j = space.index(a)
+        # in space order: the flow, and so the allocation, follows the order
+        # arcs are added in, and a frozenset's order follows string hashing
+        for j in sorted(map(space.index, ev)):
             arcs.append((1 + i, 1 + n_items + j, supply))
-            pair_of_arc.append((instance.ids[i], a))
+            pair_of_arc.append((instance.ids[i], space.ids[j]))
     for j, w in enumerate(space.weights):
         arcs.append((1 + n_items + j, sink, int(w * scale)))
     value, flows = _max_flow(sink + 1, arcs, source, sink)

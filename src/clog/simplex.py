@@ -2,17 +2,33 @@
 
 Small and dense on purpose: the decision procedures in this package solve
 many tiny LPs (a handful of variables, a few dozen rows), and exactness is
-non-negotiable — every coefficient is a rational and every pivot is exact.
-Bland's rule guarantees termination.  Every LP has one shape: find a point
-of [0,1]^n with coeffs . x + const >= 0 on each row, maximizing an
-objective if one is given.  A box LP is never unbounded.
+non-negotiable.  Bland's rule guarantees termination.  Every LP has one
+shape: find a point of [0,1]^n with coeffs . x + const >= 0 on each row,
+maximizing an objective if one is given.  A box LP is never unbounded.
+
+The pivots are fraction-free (Edmonds 1967; Bareiss 1968).  Each input row
+is scaled by the lcm of its denominators, the objective likewise, and the
+tableau holds integers over one positive common denominator d, the
+absolute determinant of the current basis: a pivot on entry piv maps each
+other row to (piv*a - f*b) // d, exactly, and piv becomes the new d.
+Ratios are compared by cross-multiplying and reduced costs by their
+integer numerators.  Scaling a row, or a slack or artificial column
+together with its cost, by a positive number moves no ratio-test argmin,
+no tie and no reduced-cost sign, so these are the pivots the textbook
+rational tableau takes on the same rows, and Fractions are built only for
+the result.
 """
 
-from .rationals import ZERO, ONE
+import math
+from fractions import Fraction
+
+from .rationals import ZERO, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 POSITIVE = "positive"  # early exit above positive_above, maybe not optimal
+
+_EXACT = (int, Fraction)
 
 
 class LPResult:
@@ -25,6 +41,14 @@ class LPResult:
         return "LPResult(%s, %r, %r)" % (self.status, self.value, self.point)
 
 
+def _integers(values):
+    """(the rationals `values` times the lcm of their denominators, that
+    lcm); a float is refused as rationals.rat refuses it."""
+    values = [v if type(v) in _EXACT else rat(v) for v in values]
+    lcm = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
 def solve_lp(n_vars, rows, objective=None, positive_above=None):
     """Maximize objective . x over {x in [0,1]^n_vars : rows}, exactly.
 
@@ -34,86 +58,98 @@ def solve_lp(n_vars, rows, objective=None, positive_above=None):
     positive_above: if not None, phase 2 returns as soon as the running
     objective value exceeds it (status POSITIVE; the point is feasible and
     attains the reported value).
+    Coefficients are ints or Fractions; the point and value are Fractions.
     """
-    rows = list(rows)
-    m = len(rows) + n_vars  # the rows, then x_j <= 1 for each variable
+    ints = []
+    scales = []
+    for coeffs, const in rows:
+        row, scale = _integers([*coeffs, const])
+        ints.append(row)
+        scales.append(scale)
+    n_rows = len(ints)
+    m = n_rows + n_vars  # the rows, then x_j <= 1 for each variable
     real = n_vars + m  # variables and one slack per row
     # a row with const > 0 is negated and starts basic on its slack, so every
     # right-hand side is >= 0; each other row gets an artificial
-    art_rows = [i for i, (_, const) in enumerate(rows) if const <= 0]
+    art_rows = [i for i, row in enumerate(ints) if row[-1] <= 0]
     width = real + len(art_rows)
 
-    tab = []
+    tab = []  # rows of integers over the common denominator d; rhs last
     basis = list(range(n_vars, real))
-    for i, (coeffs, const) in enumerate(rows):
-        sign = -ONE if const > 0 else ONE  # sign*coeffs . x - sign*s = -sign*const
-        row = [sign * c for c in coeffs] + [ZERO] * (width + 1 - n_vars)
-        row[n_vars + i] = -sign
-        row[width] = -sign * const
-        tab.append(row)
+    for i, row in enumerate(ints):
+        sign = -1 if row[-1] > 0 else 1  # sign*coeffs . x - sign*s = -sign*const
+        t = [sign * c for c in row[:n_vars]] + [0] * (width + 1 - n_vars)
+        t[n_vars + i] = -sign
+        t[width] = -sign * row[-1]
+        tab.append(t)
     for j in range(n_vars):  # x_j + s = 1
-        row = [ZERO] * (width + 1)
-        row[j] = row[n_vars + len(rows) + j] = row[width] = ONE
-        tab.append(row)
+        t = [0] * (width + 1)
+        t[j] = t[n_vars + n_rows + j] = t[width] = 1
+        tab.append(t)
     for a, i in enumerate(art_rows, start=real):
-        tab[i][a] = ONE
+        tab[i][a] = 1
         basis[i] = a
+    d = 1
 
     def pivot(r, c):
-        # exact Gauss-Jordan step on column c, row r
-        piv = tab[r][c]
+        # fraction-free Gauss-Jordan step on column c, row r
+        nonlocal d
         row = tab[r]
-        inv = ONE / piv
-        for j in range(width + 1):
-            row[j] *= inv
+        piv = row[c]
+        if piv < 0:  # keep d positive: negating the row keeps its equation
+            row = tab[r] = [-a for a in row]
+            piv = -piv
         for i in range(m):
-            if i != r and tab[i][c] != 0:
-                f = tab[i][c]
+            if i != r:
                 ri = tab[i]
-                for j in range(width + 1):
-                    ri[j] -= f * row[j]
+                f = ri[c]
+                if f:
+                    tab[i] = [(piv * a - f * b) // d for a, b in zip(ri, row)]
+                elif piv != d:
+                    tab[i] = [piv * a // d for a in ri]
+        d = piv
         basis[r] = c
 
-    def run_simplex(costs, active_width, threshold=None):
-        """Maximize costs . x; returns (OPTIMAL or POSITIVE, objective)."""
-        # reduced costs: z_j - c_j computed fresh each iteration (Bland; the
-        # tableaux are tiny, clarity beats the usual bookkeeping)
+    def run_simplex(costs, active_width, above=None):
+        """Maximize costs . x; returns (OPTIMAL or POSITIVE, the objective
+        times d).  `above` is (p, q): stop once the objective exceeds p/q."""
         while True:
-            zrow = [ZERO] * active_width
-            obj = ZERO
-            for i in range(m):
-                cb = costs[basis[i]]
-                if cb != 0:
-                    obj += cb * tab[i][width]
-                    for j in range(active_width):
-                        if tab[i][j] != 0:
-                            zrow[j] += cb * tab[i][j]
-            if threshold is not None and obj > threshold:
+            # reduced costs are computed fresh each iteration (Bland; the
+            # tableaux are tiny, clarity beats the usual bookkeeping)
+            basic = [(costs[b], tab[i]) for i, b in enumerate(basis) if costs[b]]
+            obj = sum(cb * row[-1] for cb, row in basic)
+            if above is not None and obj * above[1] > above[0] * d:
                 return POSITIVE, obj
-            enter = -1
-            for j in range(active_width):
-                if costs[j] - zrow[j] > 0 and j not in basis:
-                    enter = j
+            in_basis = set(basis)
+            for enter in range(active_width):
+                # c_j - z_j, times d
+                if enter not in in_basis and costs[enter] * d - sum(
+                    cb * row[enter] for cb, row in basic
+                ) > 0:
                     break
-            if enter < 0:
+            else:
                 return OPTIMAL, obj
             leave = -1
-            best = None
             for i in range(m):
-                if tab[i][enter] > 0:
-                    ratio = tab[i][width] / tab[i][enter]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
+                a = tab[i][enter]
+                if a > 0:
+                    b = tab[i][-1]
+                    # b/a < best_b/best_a, both denominators positive
+                    if leave < 0 or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and basis[i] < basis[leave]
                     ):
-                        best = ratio
-                        leave = i
+                        best_b, best_a, leave = b, a, i
             if leave < 0:
                 raise AssertionError("a box LP cannot be unbounded")
             pivot(leave, enter)
 
-    # ---- phase 1
+    # ---- phase 1: maximize minus the artificials' sum; an artificial of
+    # the row scaled by s stands for s times the rational one, so its cost
+    # is -L/s, with L the lcm of those scales
     if art_rows:
-        _, obj = run_simplex([ZERO] * real + [-ONE] * len(art_rows), width)
+        lcm = math.lcm(*[scales[i] for i in art_rows])
+        costs = [0] * real + [-(lcm // scales[i]) for i in art_rows]
+        _, obj = run_simplex(costs, width)
         if obj != 0:
             return LPResult(INFEASIBLE)
         # drive leftover artificial basics out
@@ -128,13 +164,18 @@ def solve_lp(n_vars, rows, objective=None, positive_above=None):
         x = [ZERO] * n_vars
         for i in range(m):
             if basis[i] < n_vars:
-                x[basis[i]] = tab[i][width]
+                x[basis[i]] = Fraction(tab[i][-1], d)
         return x
 
     if objective is None:
         return LPResult(OPTIMAL, ZERO, extract_point())
 
     # ---- phase 2 (restricted to real + slack columns)
-    costs = list(objective) + [ZERO] * (width - n_vars)
-    status, obj = run_simplex(costs, real, positive_above)
-    return LPResult(status, obj, extract_point())
+    obj_ints, scale = _integers(objective)
+    costs = obj_ints + [0] * (width - n_vars)
+    above = None
+    if positive_above is not None:
+        t = rat(positive_above)
+        above = (t.numerator * scale, t.denominator)
+    status, obj = run_simplex(costs, real, above)
+    return LPResult(status, Fraction(obj, scale * d), extract_point())

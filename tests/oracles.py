@@ -239,3 +239,107 @@ def hall_condition_by_enumeration(instance):
     if chosen is None:
         return True, None
     return False, tuple(instance.ids[i] for i in chosen)
+
+
+def solve_lp_fractions(n_vars, rows, objective=None, positive_above=None):
+    """The textbook two-phase simplex on a Fraction tableau, with Bland's
+    rule: (status, value, point) for clog.simplex.solve_lp's problem, where
+    status is "optimal", "infeasible" or "positive".  The integer solver
+    must take these very pivots, so its answers must equal these."""
+    zero, one = Fraction(0), Fraction(1)
+    rows = list(rows)
+    m = len(rows) + n_vars  # the rows, then x_j <= 1 for each variable
+    real = n_vars + m  # variables and one slack per row
+    # a row with const > 0 is negated and starts basic on its slack, so every
+    # right-hand side is >= 0; each other row gets an artificial
+    art_rows = [i for i, (_, const) in enumerate(rows) if const <= 0]
+    width = real + len(art_rows)
+
+    tab = []
+    basis = list(range(n_vars, real))
+    for i, (coeffs, const) in enumerate(rows):
+        sign = -one if const > 0 else one  # sign*coeffs . x - sign*s = -sign*const
+        row = [sign * c for c in coeffs] + [zero] * (width + 1 - n_vars)
+        row[n_vars + i] = -sign
+        row[width] = -sign * const
+        tab.append(row)
+    for j in range(n_vars):  # x_j + s = 1
+        row = [zero] * (width + 1)
+        row[j] = row[n_vars + len(rows) + j] = row[width] = one
+        tab.append(row)
+    for a, i in enumerate(art_rows, start=real):
+        tab[i][a] = one
+        basis[i] = a
+
+    def pivot(r, c):
+        # exact Gauss-Jordan step on column c, row r
+        row = tab[r]
+        inv = one / row[c]
+        for j in range(width + 1):
+            row[j] *= inv
+        for i in range(m):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                ri = tab[i]
+                for j in range(width + 1):
+                    ri[j] -= f * row[j]
+        basis[r] = c
+
+    def run_simplex(costs, active_width, threshold=None):
+        """Maximize costs . x; returns (status, objective)."""
+        while True:
+            zrow = [zero] * active_width
+            obj = zero
+            for i in range(m):
+                cb = costs[basis[i]]
+                if cb != 0:
+                    obj += cb * tab[i][width]
+                    for j in range(active_width):
+                        if tab[i][j] != 0:
+                            zrow[j] += cb * tab[i][j]
+            if threshold is not None and obj > threshold:
+                return "positive", obj
+            enter = -1
+            for j in range(active_width):
+                if costs[j] - zrow[j] > 0 and j not in basis:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal", obj
+            leave = -1
+            best = None
+            for i in range(m):
+                if tab[i][enter] > 0:
+                    ratio = tab[i][width] / tab[i][enter]
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            assert leave >= 0, "a box LP cannot be unbounded"
+            pivot(leave, enter)
+
+    if art_rows:
+        _, obj = run_simplex([zero] * real + [-one] * len(art_rows), width)
+        if obj != 0:
+            return "infeasible", None, None
+        # drive leftover artificial basics out
+        for i in range(m):
+            if basis[i] >= real:
+                for j in range(real):
+                    if tab[i][j] != 0:
+                        pivot(i, j)
+                        break
+
+    x = [zero] * n_vars
+    if objective is None:
+        for i in range(m):
+            if basis[i] < n_vars:
+                x[basis[i]] = tab[i][width]
+        return "optimal", zero, x
+    costs = list(objective) + [zero] * (width - n_vars)
+    status, obj = run_simplex(costs, real, positive_above)
+    for i in range(m):
+        if basis[i] < n_vars:
+            x[basis[i]] = tab[i][width]
+    return status, obj, x

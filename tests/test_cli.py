@@ -389,6 +389,30 @@ def test_hall_infeasible_golden(capsys, tmp_path):
     )
 
 
+def test_hall_allocation_ignores_string_hashing(tmp_path):
+    """Multi-atom events are frozensets, whose order follows the string
+    hash seed; the printed allocation must not."""
+    sp = rv.FiniteProbSpace.uniform(["a1", "a2", "a3", "a4"])
+    inst = hall.HallInstance(sp, [("x", rat(1, 4), ["a1", "a2", "a3"]),
+                                  ("y", rat(1, 4), ["a2", "a3", "a4"]),
+                                  ("z", rat(1, 4), ["a1", "a4"])])
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(hall.instance_to_json(inst)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   PYTHONHASHSEED=seed)
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "clog", "hall", str(path)], env=env,
+            capture_output=True, check=True).stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["allocation"] == [
+        {"item": "x", "atom": "a1", "m": "1/4"},
+        {"item": "y", "atom": "a2", "m": "1/4"},
+        {"item": "z", "atom": "a4", "m": "1/4"},
+    ]
+
+
 @pytest.mark.parametrize("feasible", [True, False])
 def test_hall_answers_at_the_item_cap(capsys, tmp_path, feasible):
     cap = cli.LIMITS["hall items"][0]

@@ -1,7 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from clog.simplex import INFEASIBLE, OPTIMAL, POSITIVE, solve_lp
+
+import oracles
 
 
 def test_basic_box_maximum():
@@ -113,3 +118,79 @@ def test_random_lps_against_scipy():
         assert early.status == POSITIVE or early.value == res.value
         checked += 1
     assert checked > 30 and infeasible > 5
+
+
+def _agrees(n, rows, objective=None, positive_above=None):
+    res = solve_lp(n, rows, objective, positive_above)
+    want = oracles.solve_lp_fractions(n, rows, objective, positive_above)
+    assert (res.status, res.value, res.point) == want, (n, rows, objective)
+    return res
+
+
+def test_negative_pivot_driving_out_an_artificial():
+    # -x >= 0 gets an artificial that phase 1 leaves basic at level 0; it is
+    # driven out on x's entry -1, so the integer row is negated first
+    res = _agrees(1, [([-1], 0)], objective=[1])
+    assert (res.status, res.value, res.point) == (OPTIMAL, 0, [0])
+    half = Fraction(1, 2)
+    rows = [([half, -1], 0), ([-1, Fraction(2)], 0), ([1, 1], -1)]
+    res = _agrees(2, rows, objective=[1, -half])
+    assert res.status == OPTIMAL
+
+
+def _random_mixed_lp(rng):
+    """A small box LP: fractional coefficients, many rows with constant 0
+    (degenerate vertices), rows repeated at another scale (ratio ties)."""
+    n = rng.choice([0, 1, 2, 2, 3, 3, 4])
+    dens = [1, 1, 2, 3, 4, 6]
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.choice(dens))
+                  for _ in range(n)]
+        const = Fraction(0) if rng.random() < 0.35 else Fraction(
+            rng.randint(-4, 4), rng.choice(dens))
+        rows.append((coeffs, const))
+    if rows and rng.random() < 0.3:
+        coeffs, const = rng.choice(rows)
+        k = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        rows.insert(rng.randint(0, len(rows)),
+                    ([k * c for c in coeffs], k * const))
+    objective = None
+    if rng.random() < 0.8:
+        objective = [Fraction(rng.randint(-3, 3), rng.choice(dens))
+                     for _ in range(n)]
+    positive_above = None
+    if objective is not None and rng.random() < 0.4:
+        positive_above = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return n, rows, objective, positive_above
+
+
+def test_integer_pivots_are_the_fraction_tableaus():
+    """The fraction-free tableau takes Bland's pivots exactly as the
+    textbook Fraction tableau does: same status, value and point."""
+    rng = random.Random(14)
+    seen = dict.fromkeys([OPTIMAL, INFEASIBLE, POSITIVE, "no variables"], 0)
+    for _ in range(1500):
+        n, rows, objective, positive_above = _random_mixed_lp(rng)
+        res = _agrees(n, rows, objective, positive_above)
+        seen[res.status] += 1
+        seen["no variables"] += n == 0
+        # the same region in plain ints: each row times its denominators' lcm
+        ints = []
+        for coeffs, const in rows:
+            k = math.lcm(*[x.denominator for x in coeffs + [const]])
+            ints.append(([int(c * k) for c in coeffs], int(const * k)))
+        again = _agrees(n, ints)
+        assert (again.status == INFEASIBLE) == (res.status == INFEASIBLE)
+    assert min(seen.values()) > 100, seen
+
+
+@pytest.mark.parametrize("args", [
+    (1, [([0.5], 0)]),
+    (1, [([1], -0.25)]),
+    (1, [([1], 0)], [1.0]),
+    (1, [([1], 0)], [1], 0.5),
+])
+def test_floats_are_refused(args):
+    with pytest.raises(TypeError, match="refusing float -> rational conversion"):
+        solve_lp(*args)
