@@ -14,7 +14,8 @@ hall, ...) report status "ok" when the property holds and "fail" (or
 glue, ...) are "ok" whenever the input was well-formed.
 
 Each handler imports the library modules it runs, so a process loads only
-what its subcommand needs; building the parser imports none of them.
+what its subcommand needs; building the parser imports none of them, and
+gives arguments only to the subcommand that runs.
 """
 
 import argparse
@@ -54,6 +55,15 @@ LIMITS = {
     "hall items": (
         200, "pinning the least violator takes up to n + 1 min-cuts",
         "hall takes at most %d items (%s)"),
+    # randomisation.table_sizes, checked before any table is built: for
+    # `los` the section route's sum of |sections|^k and the pointwise sum of
+    # |U_i|^k, for `eval`, `inf-witness` and `type-measure` the pointwise
+    # one.  On 2 vCPUs the section route took 0.6 s and 51 MB at 196,609
+    # cells (16 atoms of 2 elements), 0.9 s and 59 MB at 177,148 (11 of 3),
+    # and 3.3 s and 195 MB at 531,442 (12 of 3)
+    "rand cells": (
+        250_000, "a subformula's table has a cell per value of its free variables",
+        "a formula's tables may hold at most %d cells (%s)"),
 }
 
 
@@ -359,6 +369,7 @@ def _cmd_rand_eval(args, parser):
     (text,) = _read_formulas(args, parser)
     phi = syntax.parse_lformula(text)
     env = _parse_sections(family, args.section)
+    _within("rand cells", randomisation.table_sizes(phi, env, family)[1])
     out = randomisation.bracket(phi, env, family)
     return "ok", {"values": [format_rat(v) for v in out.values]}
 
@@ -397,6 +408,8 @@ def _cmd_rand_los(args, parser):
     weighting = None
     if args.weights is not None:
         weighting = [parse_rat(w.strip()) for w in args.weights.split(",")]
+    for cells in randomisation.table_sizes(phi, env, family):  # both routes
+        _within("rand cells", cells)
     lhs, rhs, equal = randomisation.los_check(phi, env, family, weighting)
     return ("ok" if equal else "fail"), {
         "lhs": format_rat(lhs),
@@ -429,6 +442,9 @@ def _cmd_rand_type_measure(args, parser):
         for body in args.section
     ]
     names = args.name or None
+    env = dict(zip(names or ["x%d" % i for i in range(len(sections))], sections))
+    _within("rand cells", sum(
+        randomisation.table_sizes(phi, env, family)[1] for phi in formulas))
     measure = randomisation.type_measure(sections, family, formulas, names)
     masses = [
         {"label": [format_rat(v) for v in key], "w": format_rat(w)}
@@ -447,6 +463,8 @@ def _cmd_rand_inf_witness(args, parser):
     (text,) = _read_formulas(args, parser)
     phi = syntax.parse_lformula(text)
     env = _parse_sections(family, args.section)
+    _within("rand cells", randomisation.table_sizes(
+        phi, env, family, frozenset([args.var]))[1])
     sec = randomisation.inf_witness(phi, args.var, env, family)
     bound = dict(env)
     bound[args.var] = sec
@@ -482,153 +500,192 @@ def _cmd_hall(args, parser):
 # --- wiring ------------------------------------------------------------------------
 
 
-def _build_parser():
+def _subparser(runs, **kwargs):
+    """The parser_class of every subparsers action: the parser of a command
+    that runs, and None for one that is only named."""
+    return argparse.ArgumentParser(**kwargs) if runs else None
+
+
+def _build_parser(argv):
+    """The parser for argv: every command is named, so the usage, help and
+    invalid-choice texts are the same whichever runs, but only the one that
+    runs gets its arguments.  At each level the command is argparse's first
+    positional, and no option before it takes a value, so it is argv's
+    first word not starting with "-" (the second one under rv and rand)."""
+    words = [a for a in argv if not a.startswith("-")]
+
+    def command(sub, name, help, level=0):
+        """name's subparser if argv runs it, else None."""
+        return sub.add_parser(name, help=help, runs=words[level:level + 1] == [name])
+
     parser = argparse.ArgumentParser(
         prog="clog",
         description="Continuous-logic toolkit: validity, proofs, random "
         "variables, randomised structures, mass allocation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_subparser)
 
-    p = sub.add_parser("valid", help="is the formula 0 everywhere?")
-    _formula_arg(p)
-    p.set_defaults(handler=_cmd_valid, echo="valid")
+    p = command(sub, "valid", "is the formula 0 everywhere?")
+    if p is not None:
+        _formula_arg(p)
+        p.set_defaults(handler=_cmd_valid, echo="valid")
 
-    p = sub.add_parser("sat", help="do the formulas share a zero?")
-    _formula_arg(p, many=True)
-    p.set_defaults(handler=_cmd_sat, echo="sat")
+    p = command(sub, "sat", "do the formulas share a zero?")
+    if p is not None:
+        _formula_arg(p, many=True)
+        p.set_defaults(handler=_cmd_sat, echo="sat")
 
-    p = sub.add_parser("entail", help="do the premises entail the goal?")
-    p.add_argument("--premise", action="append", metavar="FORMULA")
-    p.add_argument("--goal", required=True, metavar="FORMULA")
-    p.add_argument("--witness", action="store_true",
-                   help="also search for the finite witness m")
-    p.add_argument("--cap", type=_nonnegative_int)
-    p.set_defaults(handler=_cmd_entail, echo="entail")
+    p = command(sub, "entail", "do the premises entail the goal?")
+    if p is not None:
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.add_argument("--goal", required=True, metavar="FORMULA")
+        p.add_argument("--witness", action="store_true",
+                       help="also search for the finite witness m")
+        p.add_argument("--cap", type=_nonnegative_int)
+        p.set_defaults(handler=_cmd_entail, echo="entail")
 
-    p = sub.add_parser("unsat-witness",
-                       help="smallest n certifying the premises unsatisfiable")
-    p.add_argument("--premise", action="append", metavar="FORMULA")
-    p.add_argument("--cap", type=_nonnegative_int)
-    p.set_defaults(handler=_cmd_unsat_witness, echo="unsat-witness")
+    p = command(sub, "unsat-witness",
+                "smallest n certifying the premises unsatisfiable")
+    if p is not None:
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.add_argument("--cap", type=_nonnegative_int)
+        p.set_defaults(handler=_cmd_unsat_witness, echo="unsat-witness")
 
-    p = sub.add_parser("check-proof", help="check a proof file")
-    p.add_argument("proof", help="proof JSON file")
-    p.add_argument("--premise", action="append", metavar="FORMULA")
-    p.set_defaults(handler=_cmd_check_proof, echo="check-proof")
+    p = command(sub, "check-proof", "check a proof file")
+    if p is not None:
+        p.add_argument("proof", help="proof JSON file")
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.set_defaults(handler=_cmd_check_proof, echo="check-proof")
 
-    p = sub.add_parser("find-proof", help="search for a proof of the goal")
-    _formula_arg(p)
-    p.add_argument("--premise", action="append", metavar="FORMULA")
-    p.add_argument("--depth", type=_nonnegative_int, default=20,
-                   help="largest proof length to consider")
-    p.set_defaults(handler=_cmd_find_proof, echo="find-proof")
+    p = command(sub, "find-proof", "search for a proof of the goal")
+    if p is not None:
+        _formula_arg(p)
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.add_argument("--depth", type=_nonnegative_int, default=20,
+                       help="largest proof length to consider")
+        p.set_defaults(handler=_cmd_find_proof, echo="find-proof")
 
-    p = sub.add_parser("elim-half",
-                       help="rewrite premises and goal without half")
-    p.add_argument("--premise", action="append", metavar="FORMULA")
-    p.add_argument("--goal", required=True, metavar="FORMULA")
-    p.set_defaults(handler=_cmd_elim_half, echo="elim-half")
+    p = command(sub, "elim-half", "rewrite premises and goal without half")
+    if p is not None:
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.add_argument("--goal", required=True, metavar="FORMULA")
+        p.set_defaults(handler=_cmd_elim_half, echo="elim-half")
 
-    rv_p = sub.add_parser("rv", help="random variables on finite spaces")
-    rv_sub = rv_p.add_subparsers(dest="rv_command", required=True)
+    rv_p = command(sub, "rv", "random variables on finite spaces")
+    if rv_p is not None:
+        rv_sub = rv_p.add_subparsers(dest="rv_command", required=True,
+                                     parser_class=_subparser)
 
-    p = rv_sub.add_parser("check", help="axiom residuals on random samples")
-    p.add_argument("space", help="probability space JSON file")
-    p.add_argument("--samples", type=_nonnegative_int, default=12,
-                   help="sample variables (2 to %d)"
-                   % LIMITS["rv check --samples"][0])
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_rv_check, echo="rv check")
+        p = command(rv_sub, "check", "axiom residuals on random samples", 1)
+        if p is not None:
+            p.add_argument("space", help="probability space JSON file")
+            p.add_argument("--samples", type=_nonnegative_int, default=12,
+                           help="sample variables (2 to %d)"
+                           % LIMITS["rv check --samples"][0])
+            p.add_argument("--seed", type=int, default=0)
+            p.set_defaults(handler=_cmd_rv_check, echo="rv check")
 
-    p = rv_sub.add_parser("arv-defect",
-                          help="distance from the variable's law to atomlessness")
-    p.add_argument("rv", help="random variable JSON file")
-    p.add_argument("--witness", action="store_true")
-    p.set_defaults(handler=_cmd_rv_arv_defect, echo="rv arv-defect")
+        p = command(rv_sub, "arv-defect",
+                    "distance from the variable's law to atomlessness", 1)
+        if p is not None:
+            p.add_argument("rv", help="random variable JSON file")
+            p.add_argument("--witness", action="store_true")
+            p.set_defaults(handler=_cmd_rv_arv_defect, echo="rv arv-defect")
 
-    p = rv_sub.add_parser("dist", help="L1 distance of two variables")
-    p.add_argument("x", help="random variable JSON file")
-    p.add_argument("y", help="random variable JSON file")
-    p.set_defaults(handler=_cmd_rv_dist, echo="rv dist")
+        p = command(rv_sub, "dist", "L1 distance of two variables", 1)
+        if p is not None:
+            p.add_argument("x", help="random variable JSON file")
+            p.add_argument("y", help="random variable JSON file")
+            p.set_defaults(handler=_cmd_rv_dist, echo="rv dist")
 
-    p = rv_sub.add_parser("joint", help="joint law of the variables")
-    p.add_argument("rv", nargs="+", help="random variable JSON files")
-    p.set_defaults(handler=_cmd_rv_joint, echo="rv joint")
+        p = command(rv_sub, "joint", "joint law of the variables", 1)
+        if p is not None:
+            p.add_argument("rv", nargs="+", help="random variable JSON files")
+            p.set_defaults(handler=_cmd_rv_joint, echo="rv joint")
 
-    p = rv_sub.add_parser("condexp", help="conditional expectation")
-    p.add_argument("rv", help="random variable JSON file")
-    p.add_argument("--block", action="append", required=True,
-                   metavar="ATOMS", help="partition block, comma-separated")
-    p.set_defaults(handler=_cmd_rv_condexp, echo="rv condexp")
+        p = command(rv_sub, "condexp", "conditional expectation", 1)
+        if p is not None:
+            p.add_argument("rv", help="random variable JSON file")
+            p.add_argument("--block", action="append", required=True,
+                           metavar="ATOMS", help="partition block, comma-separated")
+            p.set_defaults(handler=_cmd_rv_condexp, echo="rv condexp")
 
-    p = rv_sub.add_parser("tauphi",
-                          help="staged integral approximation over an event")
-    p.add_argument("rv", help="random variable JSON file")
-    p.add_argument("--n", type=int, required=True,
-                   help="stage (1 to %d)" % LIMITS["rv tauphi --n"][0])
-    p.add_argument("--event", required=True, metavar="ATOMS",
-                   help="event, comma-separated atom ids")
-    p.set_defaults(handler=_cmd_rv_tauphi, echo="rv tauphi")
+        p = command(rv_sub, "tauphi",
+                    "staged integral approximation over an event", 1)
+        if p is not None:
+            p.add_argument("rv", help="random variable JSON file")
+            p.add_argument("--n", type=int, required=True,
+                           help="stage (1 to %d)" % LIMITS["rv tauphi --n"][0])
+            p.add_argument("--event", required=True, metavar="ATOMS",
+                           help="event, comma-separated atom ids")
+            p.set_defaults(handler=_cmd_rv_tauphi, echo="rv tauphi")
 
-    rand_p = sub.add_parser("rand", help="randomisations of finite structures")
-    rand_sub = rand_p.add_subparsers(dest="rand_command", required=True)
+    rand_p = command(sub, "rand", "randomisations of finite structures")
+    if rand_p is not None:
+        rand_sub = rand_p.add_subparsers(dest="rand_command", required=True,
+                                         parser_class=_subparser)
 
-    p = rand_sub.add_parser("eval", help="pointwise value of a formula")
-    p.add_argument("family", help="random family JSON file")
-    _formula_arg(p)
-    p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
-    p.set_defaults(handler=_cmd_rand_eval, echo="rand eval")
+        p = command(rand_sub, "eval", "pointwise value of a formula", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            _formula_arg(p)
+            p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
+            p.set_defaults(handler=_cmd_rand_eval, echo="rand eval")
 
-    p = rand_sub.add_parser("axioms", help="axiom residuals on random sections")
-    p.add_argument("family", help="random family JSON file")
-    p.add_argument("--samples", type=_nonnegative_int, default=8,
-                   help="sample sections (2 to %d)"
-                   % LIMITS["rand axioms --samples"][0])
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_rand_axioms, echo="rand axioms")
+        p = command(rand_sub, "axioms", "axiom residuals on random sections", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            p.add_argument("--samples", type=_nonnegative_int, default=8,
+                           help="sample sections (2 to %d)"
+                           % LIMITS["rand axioms --samples"][0])
+            p.add_argument("--seed", type=int, default=0)
+            p.set_defaults(handler=_cmd_rand_axioms, echo="rand axioms")
 
-    p = rand_sub.add_parser("los",
-                            help="expected truth value both ways: do they agree?")
-    p.add_argument("family", help="random family JSON file")
-    _formula_arg(p)
-    p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
-    p.add_argument("--weights", metavar="P/Q,P/Q,...",
-                   help="reweighting of the atoms (defaults to the family's)")
-    p.set_defaults(handler=_cmd_rand_los, echo="rand los")
+        p = command(rand_sub, "los",
+                    "expected truth value both ways: do they agree?", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            _formula_arg(p)
+            p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
+            p.add_argument("--weights", metavar="P/Q,P/Q,...",
+                           help="reweighting of the atoms (defaults to the family's)")
+            p.set_defaults(handler=_cmd_rand_los, echo="rand los")
 
-    p = rand_sub.add_parser("glue", help="combine two sections along an event")
-    p.add_argument("family", help="random family JSON file")
-    p.add_argument("--event", required=True, metavar="ATOMS")
-    p.add_argument("--a", required=True, metavar="V1,V2,...",
-                   help="section used on the event")
-    p.add_argument("--b", required=True, metavar="V1,V2,...",
-                   help="section used off the event")
-    p.set_defaults(handler=_cmd_rand_glue, echo="rand glue")
+        p = command(rand_sub, "glue", "combine two sections along an event", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            p.add_argument("--event", required=True, metavar="ATOMS")
+            p.add_argument("--a", required=True, metavar="V1,V2,...",
+                           help="section used on the event")
+            p.add_argument("--b", required=True, metavar="V1,V2,...",
+                           help="section used off the event")
+            p.set_defaults(handler=_cmd_rand_glue, echo="rand glue")
 
-    p = rand_sub.add_parser("type-measure",
-                            help="pushforward law of formula values at sections")
-    p.add_argument("family", help="random family JSON file")
-    _formula_arg(p, many=True)
-    p.add_argument("--section", action="append", metavar="V1,V2,...",
-                   help="section values (repeatable)")
-    p.add_argument("--name", action="append", metavar="NAME",
-                   help="variable name bound per section tuple entry")
-    p.set_defaults(handler=_cmd_rand_type_measure, echo="rand type-measure")
+        p = command(rand_sub, "type-measure",
+                    "pushforward law of formula values at sections", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            _formula_arg(p, many=True)
+            p.add_argument("--section", action="append", metavar="V1,V2,...",
+                           help="section values (repeatable)")
+            p.add_argument("--name", action="append", metavar="NAME",
+                           help="variable name bound per section tuple entry")
+            p.set_defaults(handler=_cmd_rand_type_measure, echo="rand type-measure")
 
-    p = rand_sub.add_parser("inf-witness",
-                            help="section attaining an inf at every atom")
-    p.add_argument("family", help="random family JSON file")
-    _formula_arg(p)
-    p.add_argument("--var", required=True, help="the quantified variable")
-    p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
-    p.set_defaults(handler=_cmd_rand_inf_witness, echo="rand inf-witness")
+        p = command(rand_sub, "inf-witness",
+                    "section attaining an inf at every atom", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            _formula_arg(p)
+            p.add_argument("--var", required=True, help="the quantified variable")
+            p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
+            p.set_defaults(handler=_cmd_rand_inf_witness, echo="rand inf-witness")
 
-    p = sub.add_parser("hall",
-                       help="marriage condition and mass allocation")
-    p.add_argument("instance", help="instance JSON file (up to %d items)"
-                   % LIMITS["hall items"][0])
-    p.set_defaults(handler=_cmd_hall, echo="hall")
+    p = command(sub, "hall", "marriage condition and mass allocation")
+    if p is not None:
+        p.add_argument("instance", help="instance JSON file (up to %d items)"
+                       % LIMITS["hall items"][0])
+        p.set_defaults(handler=_cmd_hall, echo="hall")
 
     return parser
 
@@ -640,7 +697,9 @@ def _error_text(e):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     try:
         status, payload = args.handler(args, parser)

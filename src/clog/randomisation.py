@@ -9,8 +9,10 @@ sections, gluing of sections along events, exact checks of the R axioms,
 the expectation form of the Los theorem, and finite-support type measures.
 """
 
+import collections
 import itertools
 import math
+import operator
 
 from . import syntax
 from .rationals import ZERO, format_rat, is_unit_interval, parse_rat, rat
@@ -18,7 +20,7 @@ from .rv import (
     FiniteProbSpace, JointDistribution, RandomVariable, expectation, space_from_json,
     space_to_json)
 from .syntax import (
-    METRIC_SYMBOL, Atom, Const0, Half, Inf, Monus, Neg, Pred, Signature, Sup, Var)
+    METRIC_SYMBOL, Apply, Atom, Const0, Half, Inf, Monus, Neg, Pred, Signature, Sup, Var)
 
 
 def _tuples(universe, arity):
@@ -231,18 +233,35 @@ def _positions(phi, env, family, ranging=frozenset()):
     nodes, pos = syntax.subformulas(phi)
     family.signature.validate_subformulas(nodes)
     for name, sec in env.items():
-        if sec.family != family:
+        if sec.family is not family and sec.family != family:
             raise ValueError("section %r belongs to a different family" % (name,))
     free = syntax.free_variables_at(nodes, pos)
-    missing = sorted(free[-1] - ranging - set(env))
+    missing = sorted(free[-1].difference(ranging, env))
     if missing:
         raise KeyError("unbound variables: %s" % ", ".join(missing))
+    bound = []
     for f in nodes:
-        if type(f) is Atom:
+        t = type(f)
+        if t is Inf or t is Sup:
+            bound.append(f.var)
+        elif t is Atom:
             raise TypeError(
                 "propositional atom %r has no meaning in a structure" % (f.name,))
-    ranging = ranging.union(f.var for f in nodes if type(f) in (Inf, Sup))
-    return nodes, pos, [tuple(sorted(v)) for v in free], ranging
+    return nodes, pos, [tuple(sorted(v)) for v in free], ranging.union(bound)
+
+
+def table_sizes(phi, env, family, ranging=frozenset()):
+    """How many cells the two routes' tables would hold for phi, read off
+    its positions before any table is built: (the sum over positions of
+    |sections|^k, the sum over positions and atoms i of |U_i|^k), k being
+    the number of the position's free variables that range.  Raises what
+    _positions raises."""
+    _, _, names, ranging = _positions(phi, env, family, ranging)
+    ks = collections.Counter(sum(v in ranging for v in keyed) for keyed in names)
+    sizes = [len(s.universe) for s in family.structures]
+    sections = math.prod(sizes)
+    return (sum(count * sections ** k for k, count in ks.items()),
+            sum(count * n ** k for k, count in ks.items() for n in sizes))
 
 
 def _keys(names, domain):
@@ -282,48 +301,81 @@ def _term_value(t, binding, s):
     return s.functions[t.func][tuple(_term_value(a, binding, s) for a in t.args)]
 
 
-def _pointwise(phi, env, family, ranging=frozenset()):
+def _pointwise(phi, env, family, ranging=frozenset(), positions=None):
     """The pointwise route, one pass over phi's positions, children first:
     at each atom, a position's table holds its values in that atom's
     structure, its free variables ranging over universe elements, and
-    `inf`/`sup` take the minimum/maximum over the universe.  Returns the
-    root's key names, and each atom's variable domains and root table."""
-    nodes, pos, names, ranging = _positions(phi, env, family, ranging)
-    domains = [  # at each atom, the values each variable takes
-        {**{name: [sec.values[i]] for name, sec in env.items()},
-         **dict.fromkeys(ranging, s.universe)}
-        for i, s in enumerate(family.structures)
-    ]
-    tables = []  # per position, one table per atom
+    `inf`/`sup` take the minimum/maximum over the universe.
+
+    Each atom i has its own scale S_i = L_i * 2^h: L_i is the lcm of the
+    denominators of the values that atom looked up (the Pred leaves are
+    built first) and h the number of `half` positions.  Values are
+    integers over S_i: `neg` is S_i - v, `half` an exact halving, and
+    truncated `-` and `inf`/`sup` compare integers.  Nothing outlives the
+    call.  Returns the root's key names, and each atom's variable domains,
+    scale and root table."""
+    nodes, pos, names, ranging = positions or _positions(phi, env, family, ranging)
+    structures = family.structures
+    domains = []  # at each atom, the values each variable takes
+    for i, s in enumerate(structures):
+        domain = {name: (sec.values[i],) for name, sec in env.items()}
+        for name in ranging:
+            domain[name] = s.universe
+        domains.append(domain)
+    tables = [None] * len(nodes)  # per position, one table per atom
+    halvings = 0
+    for p, f in enumerate(nodes):  # the leaves: the values each atom looks up
+        if type(f) is Half:
+            halvings += 1
+        if type(f) is not Pred:
+            continue
+        keyed, args = names[p], f.args
+        looked_up = [s.metric if f.name == METRIC_SYMBOL else s.predicates[f.name]
+                     for s in structures]
+        if not args or Apply in map(type, args):  # bind the key, read the terms
+            tables[p] = [
+                [values[tuple(_term_value(a, dict(zip(keyed, key)), s) for a in args)]
+                 for key in _keys(keyed, domain)]
+                for s, values, domain in zip(structures, looked_up, domains)]
+        elif ranging.isdisjoint(keyed):  # one key: the sections' values
+            tables[p] = [[values[key]] for values, key in zip(
+                looked_up, zip(*[env[a.name].values for a in args]))]
+        else:  # the key is the lookup
+            keys = [_keys(keyed, domain) for domain in domains]
+            slots = [keyed.index(a.name) for a in args]
+            if slots != list(range(len(keyed))):  # d(x, x), d(y, x): reordered
+                keys = [map(operator.itemgetter(*slots), k) for k in keys]
+            tables[p] = [list(map(values.__getitem__, k))
+                         for values, k in zip(looked_up, keys)]
+    leaves = [t for t in tables if t is not None]
+    scales = [math.lcm(*{v.denominator for t in leaves for v in t[i]}) << halvings
+              for i in range(len(structures))]
     for p, f in enumerate(nodes):
         t = type(f)
         keyed = names[p]
         if t is Pred:
-            out = []
-            for s, domain in zip(family.structures, domains):
-                values = s.metric if f.name == METRIC_SYMBOL else s.predicates[f.name]
-                table = []
-                for key in _keys(keyed, domain):
-                    binding = dict(zip(keyed, key))
-                    args = tuple(_term_value(a, binding, s) for a in f.args)
-                    table.append(values[args])
-                out.append(table)
+            out = [[v.numerator * (scale // v.denominator) for v in table]
+                   for scale, table in zip(scales, tables[p])]
         elif t is Const0:
-            out = [[ZERO]] * len(domains)
+            out = [[0]] * len(structures)
         elif t is Neg:
-            out = [[1 - v for v in table] for table in tables[pos[id(f.body)]]]
+            out = [[scale - v for v in table]
+                   for scale, table in zip(scales, tables[pos[id(f.body)]])]
         elif t is Half:
-            out = [[v / 2 for v in table] for table in tables[pos[id(f.body)]]]
+            out = [[v >> 1 for v in table] for table in tables[pos[id(f.body)]]]
         elif t is Monus:
             left, right = pos[id(f.left)], pos[id(f.right)]
+            spread = names[left] != names[right]
             out = []
             for domain, lt, rt in zip(domains, tables[left], tables[right]):
-                table = []
-                for i, j in zip(_rows(keyed, names[left], domain),
-                                _rows(keyed, names[right], domain)):
-                    a, b = lt[i], rt[j]
-                    table.append(a - b if a > b else ZERO)
-                out.append(table)
+                if len(lt) == 1:  # one cell meets every cell of the other side
+                    lt = lt * len(rt)
+                elif len(rt) == 1:
+                    rt = rt * len(lt)
+                elif spread:
+                    lt = [lt[i] for i in _rows(keyed, names[left], domain)]
+                    rt = [rt[j] for j in _rows(keyed, names[right], domain)]
+                out.append([a - b if a > b else 0 for a, b in zip(lt, rt)])
         else:  # Inf or Sup: over the universe, one atom at a time
             body = pos[id(f.body)]
             out = tables[body]  # a body free of the variable is constant
@@ -331,20 +383,28 @@ def _pointwise(phi, env, family, ranging=frozenset()):
                 pick = min if t is Inf else max
                 out = []
                 for domain, table in zip(domains, tables[body]):
-                    blocks = _blocks(names[body], f.var, domain)
-                    out.append([pick(table[a:b:c]) for a, b, c in blocks])
-        tables.append(out)
-    return names[-1], domains, tables[-1]
+                    if len(table) == len(domain[f.var]):  # one key here
+                        out.append([pick(table)])
+                    else:
+                        out.append([pick(table[a:b:c]) for a, b, c
+                                    in _blocks(names[body], f.var, domain)])
+        tables[p] = out
+    return names[-1], domains, scales, tables[-1]
 
 
-def bracket(phi, env, family):
+def bracket(phi, env, family, positions=None):
     """The formula's value as a random variable: at each atom, evaluate in
-    that atom's structure with quantifiers over its universe."""
-    names, domains, tables = _pointwise(phi, env, family)
-    return RandomVariable(family.space, [
-        table[list(_keys(names, domain)).index(tuple(env[v].values[i] for v in names))]
-        for i, (domain, table) in enumerate(zip(domains, tables))
-    ])
+    that atom's structure with quantifiers over its universe.  `positions`
+    is _positions' result when the caller has it already."""
+    names, domains, scales, tables = _pointwise(phi, env, family, positions=positions)
+    values = []
+    for i, (domain, scale, table) in enumerate(zip(domains, scales, tables)):
+        row = 0
+        if len(table) > 1:
+            row = list(_keys(names, domain)).index(
+                tuple(env[v].values[i] for v in names))
+        values.append(rat(table[row], scale))
+    return RandomVariable(family.space, values)
 
 
 def _section_vectors(family):
@@ -369,7 +429,7 @@ def _per_atom(terms, binding, structures):
     return zip(*cols) if cols else [()] * len(structures)
 
 
-def bracket_by_sections(phi, env, family):
+def bracket_by_sections(phi, env, family, positions=None):
     """The inductive semantics: quantifiers range over whole sections and
     the connectives act on random variables.
 
@@ -378,46 +438,64 @@ def bracket_by_sections(phi, env, family):
     of its body's value vectors over every section of the family; no
     quantifier is split into per-atom extrema.  One pass over phi's
     positions, children first, gives each a table of value vectors, its free
-    variables ranging over section value tuples.  Values are integers scaled
-    by S = L * 2^h (L the lcm of the family's metric and predicate
-    denominators, h the number of `half` subformulas): `neg` is S - v,
-    `half` an exact halving, and the result is rat(v, S).  Nothing outlives
-    the call.  A subformula costs |sections|^(its free variables).
+    variables ranging over section value tuples.  Values are integers over
+    one family scale S = L * 2^h, where L is the lcm of the denominators in
+    the tables the formula reads (every atom's, whole) and h the number of
+    `half` subformulas: `neg` is S - v, `half` an exact halving, and the
+    result is rat(v, S).  Nothing outlives the call.  A subformula costs
+    |sections|^(its free variables).  `positions` is _positions' result
+    when the caller has it already.
     """
-    nodes, pos, names, ranging = _positions(phi, env, family)
+    nodes, pos, names, ranging = positions or _positions(phi, env, family)
     structures = family.structures
-    exact = {name: [s.predicates[name] for s in structures]
-             for name in family.signature.predicates}
-    exact[METRIC_SYMBOL] = [s.metric for s in structures]
+    exact = {f.name: [s.metric if f.name == METRIC_SYMBOL else s.predicates[f.name]
+                      for s in structures]
+             for f in nodes if type(f) is Pred}
     denominators = {v.denominator for ts in exact.values() for t in ts
                     for v in t.values()}
     scale = math.lcm(*denominators) << sum(type(f) is Half for f in nodes)
     scaled = {name: [{k: v.numerator * (scale // v.denominator) for k, v in t.items()}
                      for t in ts] for name, ts in exact.items()}
     domain = {name: [sec.values] for name, sec in env.items()}
-    domain.update(dict.fromkeys(ranging, _section_vectors(family)))
+    keyed_on = ranging.intersection(itertools.chain(*names))
+    if keyed_on:  # every section, listed only when some table keys on one
+        domain.update(dict.fromkeys(keyed_on, _section_vectors(family)))
     tables = []  # per position, its value vectors
     for p, f in enumerate(nodes):
         t = type(f)
         keyed = names[p]
         if t is Pred:
-            out = [tuple(map(dict.__getitem__, scaled[f.name],
-                             _per_atom(f.args, dict(zip(keyed, key)), structures)))
-                   for key in _keys(keyed, domain)]
+            lookups, args = scaled[f.name], f.args
+            if not args or Apply in map(type, args):  # bind the key, read the terms
+                out = [tuple(map(dict.__getitem__, lookups,
+                                 _per_atom(args, dict(zip(keyed, key)), structures)))
+                       for key in _keys(keyed, domain)]
+            elif ranging.isdisjoint(keyed):  # one key: the sections' values
+                out = [tuple(map(dict.__getitem__, lookups,
+                                 zip(*[env[a.name].values for a in args])))]
+            else:  # a key holds a value tuple per variable: zipped, the lookups
+                slots = [keyed.index(a.name) for a in args]
+                out = [tuple(map(dict.__getitem__, lookups,
+                                 zip(*[key[j] for j in slots])))
+                       for key in _keys(keyed, domain)]
         elif t is Const0:
             out = [(0,) * len(structures)]
         elif t is Neg:
-            out = [tuple(scale - v for v in vec) for vec in tables[pos[id(f.body)]]]
+            out = [tuple([scale - v for v in vec]) for vec in tables[pos[id(f.body)]]]
         elif t is Half:
-            out = [tuple(v >> 1 for v in vec) for vec in tables[pos[id(f.body)]]]
+            out = [tuple([v >> 1 for v in vec]) for vec in tables[pos[id(f.body)]]]
         elif t is Monus:
             left, right = pos[id(f.left)], pos[id(f.right)]
             lt, rt = tables[left], tables[right]
-            out = [
-                tuple(a - b if a > b else 0 for a, b in zip(lt[i], rt[j]))
-                for i, j in zip(_rows(keyed, names[left], domain),
-                                _rows(keyed, names[right], domain))
-            ]
+            if len(lt) == 1:  # one vector meets every vector of the other side
+                lt = lt * len(rt)
+            elif len(rt) == 1:
+                rt = rt * len(lt)
+            elif names[left] != names[right]:
+                lt = [lt[i] for i in _rows(keyed, names[left], domain)]
+                rt = [rt[j] for j in _rows(keyed, names[right], domain)]
+            out = [tuple([a - b if a > b else 0 for a, b in zip(u, w)])
+                   for u, w in zip(lt, rt)]
         else:  # Inf or Sup: over every section, componentwise
             body = pos[id(f.body)]
             out = tables[body]  # a body free of the variable is constant
@@ -426,7 +504,10 @@ def bracket_by_sections(phi, env, family):
                 out = [tuple(map(pick, zip(*tables[body][a:b:c])))
                        for a, b, c in _blocks(names[body], f.var, domain)]
         tables.append(out)
-    root = list(_keys(names[-1], domain)).index(tuple(env[v].values for v in names[-1]))
+    root = 0
+    if len(tables[-1]) > 1:
+        root = list(_keys(names[-1], domain)).index(
+            tuple(env[v].values for v in names[-1]))
     return RandomVariable(family.space, [rat(v, scale) for v in tables[-1][root]])
 
 
@@ -510,7 +591,7 @@ def inf_witness(phi, var, env, family):
     """A section achieving the inner infimum of phi over the distinguished
     variable at every atom (universes are finite, so the infimum is
     attained); ties go to the earlier universe element."""
-    names, domains, tables = _pointwise(phi, env, family, frozenset([var]))
+    names, domains, _, tables = _pointwise(phi, env, family, frozenset([var]))
     values = []
     for i, (s, domain, table) in enumerate(zip(family.structures, domains, tables)):
         keys = list(_keys(names, domain))
@@ -538,11 +619,21 @@ def los_check(phi, env, family, weighting=None):
             raise ValueError("weights must be nonnegative")
         if sum(weights, start=ZERO) != 1:
             raise ValueError("weights must sum to exactly 1")
-    inductive = bracket_by_sections(phi, env, family)
-    pointwise = bracket(phi, env, family)
-    lhs = sum((w * v for w, v in zip(weights, inductive.values)), start=ZERO)
-    rhs = sum((w * v for w, v in zip(weights, pointwise.values)), start=ZERO)
+    positions = _positions(phi, env, family)
+    inductive = bracket_by_sections(phi, env, family, positions)
+    pointwise = bracket(phi, env, family, positions)
+    lhs = _weighted_sum(weights, inductive.values)
+    rhs = _weighted_sum(weights, pointwise.values)
     return lhs, rhs, lhs == rhs
+
+
+def _weighted_sum(weights, values):
+    """The sum of w * v over the pairs, exactly: integers over the lcm of
+    the products' denominators."""
+    dens = [w.denominator * v.denominator for w, v in zip(weights, values)]
+    den = math.lcm(*dens)
+    return rat(sum([w.numerator * v.numerator * (den // d)
+                    for w, v, d in zip(weights, values, dens)]), den)
 
 
 def type_measure(sections, family, formulas, names=None):

@@ -45,4 +45,5 @@ def format_rat(x):
 
 
 def is_unit_interval(x):
-    return 0 <= x <= 1
+    """Whether the Fraction x lies in [0, 1], compared as integers."""
+    return 0 <= x.numerator <= x.denominator

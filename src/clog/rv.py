@@ -88,7 +88,7 @@ class RandomVariable:
     __slots__ = ("space", "values")
 
     def __init__(self, space, values):
-        values = tuple(rat(v) for v in values)
+        values = tuple(map(rat, values))
         if len(values) != len(space):
             raise ValueError(
                 "%d values for a %d-atom space" % (len(values), len(space))

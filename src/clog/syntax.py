@@ -40,6 +40,8 @@ first-order evaluation routes in `randomisation` are passes over positions,
 so formulas of either kind may nest to any depth; only terms still recurse.
 """
 
+import sys
+
 from .rationals import rat
 
 METRIC_SYMBOL = "d"
@@ -643,7 +645,8 @@ def _tokenize(text):
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append((_T_IDENT, text[i:j], i))
+            # names repeat across formulas: one string object each
+            toks.append((_T_IDENT, sys.intern(text[i:j]), i))
             i = j
         else:
             raise ParseError("unexpected character %r" % c, i)
@@ -656,6 +659,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.first_order = first_order
+        self.variables = {}  # name -> the one Var node of that name here
 
     def peek(self):
         return self.toks[self.pos]
@@ -759,7 +763,10 @@ class _Parser:
         if self.peek()[0] == _T_LPAREN:
             self.next()
             return Apply(tok[1], tuple(self.termlist()))
-        return Var(tok[1])
+        var = self.variables.get(tok[1])
+        if var is None:
+            var = self.variables[tok[1]] = Var(tok[1])
+        return var
 
     def finish(self, node):
         t = self.peek()

@@ -343,3 +343,56 @@ def solve_lp_fractions(n_vars, rows, objective=None, positive_above=None):
         if basis[i] < n_vars:
             x[basis[i]] = tab[i][width]
     return status, obj, x
+
+
+def pointwise_fractions(phi, env, family, ranging=frozenset()):
+    """The pointwise route on Fractions, as it stood before it moved to
+    integers: one pass over phi's positions, children first; at each atom a
+    position's table gives its value in that atom's structure for every key
+    (a value per free variable, in sorted order), the variables in
+    `ranging` or bound by a quantifier ranging over the universe and the
+    others taking their section's value.  Tables are dicts keyed by the
+    key, so no key-order arithmetic is shared with the package.  Returns
+    the root's free variables and each atom's root table."""
+    nodes, pos = syntax.subformulas(phi)
+    names = [tuple(sorted(v)) for v in syntax.free_variables_at(nodes, pos)]
+    ranging = ranging.union(
+        f.var for f in nodes if isinstance(f, (syntax.Inf, syntax.Sup)))
+    roots = []
+    for i, s in enumerate(family.structures):
+        domain = {name: [sec.values[i]] for name, sec in env.items()}
+        domain.update(dict.fromkeys(ranging, s.universe))
+
+        def term(t, binding):
+            if isinstance(t, syntax.Var):
+                return binding[t.name]
+            return s.functions[t.func][tuple(term(a, binding) for a in t.args)]
+
+        tables = []
+
+        def at(child, binding):
+            return tables[pos[id(child)]][tuple(
+                binding[v] for v in names[pos[id(child)]])]
+
+        for p, f in enumerate(nodes):
+            table = {}
+            for key in itertools.product(*(domain[v] for v in names[p])):
+                binding = dict(zip(names[p], key))
+                if isinstance(f, syntax.Pred):
+                    values = s.metric if f.name == "d" else s.predicates[f.name]
+                    value = values[tuple(term(a, binding) for a in f.args)]
+                elif isinstance(f, syntax.Const0):
+                    value = Fraction(0)
+                elif isinstance(f, syntax.Neg):
+                    value = 1 - at(f.body, binding)
+                elif isinstance(f, syntax.Half):
+                    value = at(f.body, binding) / 2
+                elif isinstance(f, syntax.Monus):
+                    value = max(at(f.left, binding) - at(f.right, binding), Fraction(0))
+                else:
+                    pick = min if isinstance(f, syntax.Inf) else max
+                    value = pick(at(f.body, {**binding, f.var: u}) for u in s.universe)
+                table[key] = value
+            tables.append(table)
+        roots.append(tables[-1])
+    return names[-1], roots

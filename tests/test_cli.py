@@ -1,5 +1,8 @@
 """End-to-end checks of the command line: exact report bytes and exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -12,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from clog import cli, hall, randomisation, rv
+from clog import cli, hall, randomisation, rv, syntax
 from clog.cli import main
 from clog.rationals import rat
 from clog.syntax import Signature
@@ -498,7 +501,19 @@ LIMIT_ERRORS = {
                          "(R3 checks all 2^n events per sample pair)",
     "hall items": "hall takes at most 200 items "
                   "(pinning the least violator takes up to n + 1 min-cuts)",
+    "rand cells": "a formula's tables may hold at most 250000 cells "
+                  "(a subformula's table has a cell per value of its free variables)",
 }
+
+
+def three_point_family_file(tmp_path, atoms):
+    """A family JSON file of `atoms` copies of one 3-element structure."""
+    path = tmp_path / ("family_%d.json" % atoms)
+    path.write_text(json.dumps(randomisation.family_to_json(
+        randomisation.RandomFamily(
+            rv.FiniteProbSpace.uniform(["w%d" % i for i in range(atoms)]),
+            test_randomisation.two_point_family().structures[1:] * atoms))))
+    return path
 
 
 def test_every_limit_is_enforced_and_documented(capsys, tmp_path):
@@ -533,12 +548,17 @@ def test_every_limit_is_enforced_and_documented(capsys, tmp_path):
                                   "--samples", str(over("rand axioms --samples"))],
         "rand axioms atoms": ["rand", "axioms", str(family_file)],
         "hall items": ["hall", str(hall_file)],
+        # 6,561 sections: the section route would tabulate 6,561^2 vectors
+        "rand cells": ["rand", "los", str(three_point_family_file(tmp_path, 8)),
+                       "-e", "sup z. inf y. d(z, y)"],
     }
     assert set(argvs) == set(cli.LIMITS) == set(LIMIT_ERRORS)
     rows = [line for line in (ROOT / "README.md").read_text().splitlines()
             if line.startswith("| `")]
     for name, (cap, reason, text) in cli.LIMITS.items():
+        started = time.monotonic()
         rc, out = run(capsys, argvs[name])
+        assert time.monotonic() - started < 1, name
         assert rc == 1, name
         assert json.loads(out)["error"] == text % (cap, reason) == LIMIT_ERRORS[name]
         *command, what = name.split()
@@ -548,6 +568,93 @@ def test_every_limit_is_enforced_and_documented(capsys, tmp_path):
             assert "`%s %s` is at most %d" % (command[-1], what, cap) in row, name
         else:
             assert "at most %d %s" % (cap, what) in row, name
+
+
+def chained_sups(n):
+    """sup v0. ... sup v(n-1). (((P(v0) - P(v1)) - ...) - P(v(n-1)))"""
+    body = "P(v0)"
+    for i in range(1, n):
+        body = "(%s - P(v%d))" % (body, i)
+    return "".join("sup v%d. " % i for i in range(n)) + body
+
+
+def test_rand_cells_cap_per_command(capsys, tmp_path):
+    """`los` checks both routes' table sizes; `eval`, `inf-witness` and
+    `type-measure` (its formulas together) check the pointwise route's."""
+    cap, reason, text = cli.LIMITS["rand cells"]
+    error = text % (cap, reason)
+    wide = str(three_point_family_file(tmp_path, 8))
+    one = str(three_point_family_file(tmp_path, 1))
+    fam = randomisation.family_from_json(json.loads(Path(one).read_text()))
+    small, big = (syntax.parse_lformula(chained_sups(n)) for n in (10, 11))
+    sizes = [randomisation.table_sizes(phi, {}, fam) for phi in (small, big)]
+    assert 2 * sizes[0][1] <= cap < 3 * sizes[0][1] and sizes[1][1] > cap
+    argvs = [
+        ["rand", "los", wide, "-e", "sup z. inf y. d(z, y)"],
+        ["rand", "eval", one, "-e", chained_sups(11)],
+        ["rand", "inf-witness", one, "--var", "y", "-e", chained_sups(11)],
+        ["rand", "type-measure", one, "--section", "a"]
+        + ["-e", chained_sups(10)] * 3,
+    ]
+    for argv in argvs:
+        started = time.monotonic()
+        rc, out = run(capsys, argv)
+        assert time.monotonic() - started < 1, argv
+        assert (rc, json.loads(out)["error"]) == (1, error), argv
+    # the section route alone is over the cap: the pointwise commands answer
+    rc, out = run(capsys, ["rand", "eval", wide, "-e", "sup z. inf y. d(z, y)"])
+    assert (rc, out) == (0, '{"cmd":"rand eval","status":"ok","values":[%s]}\n'
+                         % ",".join(['"0/1"'] * 8))
+    rc, out = run(capsys, ["rand", "type-measure", one, "--section", "a"]
+                  + ["-e", "P(x0)"] * 2)
+    assert rc == 0
+
+
+def cli_texts(argv):
+    """main(argv)'s exit code, stdout and stderr, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_parser_builds_only_the_command_that_runs(monkeypatch):
+    """Every usage, help and invalid-choice text is the one a parser with
+    every command built gives, while only the running command is built."""
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+
+    def counting(runs, **kwargs):
+        built.append((kwargs["prog"].split()[1:], runs))
+        return lazy(runs, **kwargs)
+
+    def full(runs, **kwargs):
+        return argparse.ArgumentParser(**kwargs)
+
+    def choices(group):  # the commands an invalid choice lists
+        return re.findall(r"[a-z][a-z-]*",
+                          cli_texts(group + ["nope"])[2].split("choose from")[1])
+
+    lazy = cli._subparser
+    paths = [[name] for name in choices([]) if name not in ("rv", "rand")]
+    paths += [[group, name] for group in ("rv", "rand") for name in choices([group])]
+    assert len(paths) == 20
+    argvs = [[], ["-h"], ["nope"], ["rv"], ["rand", "-h"], ["rand", "nope"],
+             ["valid", "-e", "p"], ["valid", "-e", "p", "--bogus"], ["sat", "-e", "rand"]]
+    for path in paths:
+        argvs += [path + ["-h"], path, path + ["--bogus"]]
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_subparser", full)
+        want = cli_texts(argv)
+        monkeypatch.setattr(cli, "_subparser", counting)
+        built.clear()
+        assert cli_texts(argv) == want, argv
+        # a command gets its parser exactly when argv starts with its path
+        assert all(runs == (argv[:len(path)] == path) for path, runs in built), argv
+        assert len(built) == 10 + 6 * (argv[:1] in (["rv"], ["rand"])), argv
 
 
 def test_branch_budget_env(capsys, monkeypatch):

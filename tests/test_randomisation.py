@@ -1,13 +1,16 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from clog import randomisation as rd
+import oracles
+from clog import randomisation as rd, syntax
 from clog.rationals import rat
 from clog.rv import FiniteProbSpace, expectation
 from clog.syntax import (
     Apply,
+    Atom,
     Const0,
     Half,
     Inf,
@@ -370,6 +373,124 @@ def test_sections_route_beyond_the_criteria_generators():
             ), phi
 
 
+FUNC_SIG = Signature(functions={"f": [rat(2)], "c": []},
+                     predicates={"P": [rat(1)], "Q": [], "R": [rat(1), rat(1)]})
+
+
+def oracle_family(rng):
+    """A family over FUNC_SIG: 1-3 atoms, universes of 1-3 points on a grid
+    of ninths (so metric denominators are not dyadic), P the largest
+    1-Lipschitz function below random rationals, R(u, v) the mean of two
+    such functions at u and at v (so R is not symmetric), Q a random
+    rational, f the identity or a constant map, and c a random point."""
+    structures = []
+    for _ in range(rng.randint(1, 3)):
+        ids = ["e%d" % i for i in range(rng.randint(1, 3))]
+        metric = line_metric(rng.sample([rat(k, 9) for k in range(10)], len(ids)))
+        p, r1, r2 = (lipschitz_repair({u: oracles.random_rational(rng) for u in ids},
+                                      metric, ids, 1) for _ in range(3))
+        target = rng.choice(ids + [None])  # None: the identity
+        structures.append(rd.FiniteLStructure(
+            FUNC_SIG, ids,
+            predicates={"P": p, "Q": {(): oracles.random_rational(rng)},
+                        "R": {(u, v): (r1[u,] + r2[v,]) / 2 for u in ids for v in ids}},
+            functions={"f": {(u,): target or u for u in ids},
+                       "c": {(): rng.choice(ids)}},
+            metric=metric))
+    space = FiniteProbSpace(
+        [("w%d" % i, w) for i, w in
+         enumerate(oracles.random_weights(rng, len(structures)))])
+    return rd.RandomFamily(space, structures)
+
+
+def oracle_formula(rng, scope, max_depth, max_quants):
+    """A random formula over FUNC_SIG with free variables among scope:
+    function terms, Q(), the constant 0 and chains of half all occur."""
+    fresh = itertools.count()
+
+    def term(scope):
+        roll = rng.random()
+        if roll < 0.15:
+            return Apply("c", ())
+        if roll < 0.35:
+            return Apply("f", (term(scope),))
+        return Var(rng.choice(scope))
+
+    def gen(scope, depth, quants):
+        if depth == 0 or rng.random() < 0.2:
+            roll = rng.random()
+            if roll < 0.1:
+                return Const0(), quants
+            if roll < 0.2:
+                return Pred("Q", ()), quants
+            if roll < 0.5:
+                return Pred("P", (term(scope),)), quants
+            return Pred(rng.choice("dR"), (term(scope), term(scope))), quants
+        roll = rng.random()
+        if quants > 0 and roll < 0.3:
+            var = "q%d" % next(fresh)
+            body, quants = gen(scope + [var], depth - 1, quants - 1)
+            return (Inf if rng.random() < 0.5 else Sup)(var, body), quants
+        if roll < 0.5:
+            body, quants = gen(scope, depth - 1, quants)
+            if rng.random() < 0.5:
+                return Neg(body), quants
+            for _ in range(rng.randint(1, 4)):
+                body = Half(body)
+            return body, quants
+        left, quants = gen(scope, depth - 1, quants)
+        right, quants = gen(scope, depth - 1, quants)
+        return Monus(left, right), quants
+
+    return gen(list(scope), max_depth, max_quants)[0]
+
+
+def test_routes_match_the_fraction_oracle():
+    """bracket, bracket_by_sections and inf_witness give the Fraction
+    evaluator's values on 1,000 seeded families and formulas."""
+    rng = random.Random(41)
+    seen = dict.fromkeys(("f", "c", "Q", "R", "0", "half half", "one point"), 0)
+    for _ in range(1000):
+        fam = oracle_family(rng)
+        x, y = random_section(rng, fam), random_section(rng, fam)
+        phi = oracle_formula(rng, ["x", "y"], max_depth=4, max_quants=2)
+        names, tables = oracles.pointwise_fractions(phi, {"x": x, "y": y}, fam)
+        want = tuple(table[tuple({"x": x, "y": y}[v].values[i] for v in names)]
+                     for i, table in enumerate(tables))
+        assert rd.bracket(phi, {"x": x, "y": y}, fam).values == want, phi
+        assert rd.bracket_by_sections(phi, {"x": x, "y": y}, fam).values == want, phi
+        names, tables = oracles.pointwise_fractions(
+            phi, {"x": x}, fam, frozenset(["y"]))
+        argmins = tuple(
+            min(s.universe, key=lambda u, i=i, table=table: table[tuple(
+                u if v == "y" else x.values[i] for v in names)])
+            for i, (s, table) in enumerate(zip(fam.structures, tables)))
+        assert rd.inf_witness(phi, "y", {"x": x}, fam).values == argmins, phi
+        text = repr(phi)
+        for feature, mark in (("f", "'f'"), ("c", "'c'"), ("Q", "'Q'"), ("R", "'R'"),
+                              ("0", "Const0"), ("half half", "Half(body=Half(")):
+            seen[feature] += mark in text
+        seen["one point"] += any(len(s.universe) == 1 for s in fam.structures)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_sections_are_listed_only_when_a_table_keys_on_them():
+    """A formula whose tables all have one key costs one vector per
+    position, even on a family of 3^16 sections: a quantifier-free formula
+    or a quantifier whose variable is free nowhere lists no section."""
+    fam = two_point_family()
+    wide = rd.RandomFamily(FiniteProbSpace.uniform(["w%d" % i for i in range(16)]),
+                           fam.structures[1:] * 16)
+    env = {"x": rd.Section(wide, ["b"] * 16)}
+    for text in ("(P(x) - half d(x, x))", "inf y . P(x)", "sup y . neg P(x)"):
+        phi = parse_lformula(text)
+        started = time.monotonic()
+        lhs, rhs, ok = rd.los_check(phi, env, wide)
+        assert time.monotonic() - started < 1, text
+        assert ok and lhs == rd.bracket(phi, env, wide).values[0], text
+        assert rd.table_sizes(phi, env, wide)[0] == len(syntax.subformulas(phi)[0])
+
+
 def test_quantifier_locality_on_glue():
     # atomic values through a glued section mix the two argument sections
     rng = random.Random(32)
@@ -518,6 +639,37 @@ def test_los_check_quantified():
         phi = random_lformula(rng, ["x"], max_depth=3, max_quants=2)
         lhs, rhs, ok = rd.los_check(phi, env, fam)
         assert ok and lhs == rhs
+
+
+def test_los_check_computes_positions_once(monkeypatch):
+    """Both routes read one _positions result; bad input still raises
+    ValueError, then KeyError, then TypeError."""
+    calls = []
+    real = rd._positions
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "_positions", counting)
+    fam = two_point_family()
+    env = {"x": rd.Section(fam, ["u", "c"])}
+    for text in ("P(x)", "inf y . d(x, y)", "sup y . (P(y) - half P(x))", "0"):
+        calls.clear()
+        lhs, rhs, ok = rd.los_check(parse_lformula(text), env, fam)
+        assert ok and len(calls) == 1, text
+    atom = Atom("p")
+    undeclared = Monus(atom, Monus(Pred("R", (Var("z"),)), Pred("P", (Var("x"),))))
+    unbound = Monus(atom, Pred("P", (Var("z"),)))
+    for phi, error in ((undeclared, ValueError), (unbound, KeyError),
+                       (Monus(atom, Pred("P", (Var("x"),))), TypeError)):
+        calls.clear()
+        with pytest.raises(error):
+            rd.los_check(phi, env, fam)
+        assert len(calls) == 1
+    with pytest.raises(ValueError):  # the weighting is checked first
+        rd.los_check(unbound, env, fam, weighting=[1])
+    assert len(calls) == 1
 
 
 def test_los_check_weighting_errors():
