@@ -228,7 +228,13 @@ def _cmd_unsat_witness(args, parser):
 
     premises = [syntax.parse_formula(t) for t in args.premise or ()]
     cap = semantics.DEFAULT_WITNESS_CAP if args.cap is None else args.cap
-    n = semantics.unsat_witness(premises, cap=cap, budget=_budget())
+    budget = _budget()
+    # a common zero rules out every n, so the search (whose candidates grow
+    # past the budget with n) is skipped; n = 0 never certifies, as the
+    # constant 1 is not valid, so cap 0 needs no check
+    if cap and semantics.is_satisfiable(premises, budget):
+        return "fail", {"n": None}
+    n = semantics.unsat_witness(premises, cap=cap, budget=budget)
     if n is None:
         return "fail", {"n": None}
     return "ok", {"n": n}

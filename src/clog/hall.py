@@ -7,6 +7,11 @@ and allocations are built by exact integer max-flow (Edmonds-Karp), both
 after clearing denominators.  The two routes are written apart and neither
 reads the other's flow, so the condition-holds / allocation-exists
 equivalence is exercised through two independent routes.
+
+Both routes run on integers from input to answer; Fractions are made only
+for the masses an allocation returns.  Verification sums and compares
+integers over one lcm of the instance's and the allocation's denominators,
+so it stays exact for any allocation, whatever its masses' denominators.
 """
 
 from collections import deque
@@ -236,11 +241,9 @@ def _max_flow(n_nodes, arcs, source, sink):
     head = []
     cap = []
     nxt = [[] for _ in range(n_nodes)]
-    def add(u, v, c):
+    for u, v, c in arcs:
         nxt[u].append(len(head)); head.append(v); cap.append(c)
         nxt[v].append(len(head)); head.append(u); cap.append(0)
-    for u, v, c in arcs:
-        add(u, v, c)
     value = 0
     while True:
         parent_arc = [-1] * n_nodes
@@ -250,26 +253,35 @@ def _max_flow(n_nodes, arcs, source, sink):
             u = queue.popleft()
             for e in nxt[u]:
                 v = head[e]
-                if cap[e] > 0 and parent_arc[v] == -1:
+                if cap[e] and parent_arc[v] == -1:
                     parent_arc[v] = e
                     queue.append(v)
         if parent_arc[sink] == -1:
             break
-        bottleneck = None
+        path = []
         v = sink
         while v != source:
             e = parent_arc[v]
-            bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
+            path.append(e)
             v = head[e ^ 1]
-        v = sink
-        while v != source:
-            e = parent_arc[v]
+        bottleneck = min([cap[e] for e in path])
+        for e in path:
             cap[e] -= bottleneck
             cap[e ^ 1] += bottleneck
-            v = head[e ^ 1]
         value += bottleneck
     flows = [cap[2 * i + 1] for i in range(len(arcs))]
     return value, flows
+
+
+def _common_denominator(*groups):
+    """The lcm of the denominators of every rational in the groups."""
+    return lcm(*{w.denominator for ws in groups for w in ws})
+
+
+def _cleared(weights, scale):
+    """Each rational w as the integer w * scale, for a scale its denominator
+    divides: exactly int(w * scale), without a Fraction product."""
+    return [w.numerator * (scale // w.denominator) for w in weights]
 
 
 def solve_allocation(instance):
@@ -277,19 +289,19 @@ def solve_allocation(instance):
 
     Network: source -> item (capacity w_x), item -> atom for atoms of C_x
     (unbounded), atom -> sink (capacity mu(atom)); all capacities cleared
-    to integers by the common denominator, then integral max-flow.
+    to integers by the common denominator, then integral max-flow.  The
+    flow is integer throughout; Fractions are made only for the masses
+    returned.
     """
     space = instance.space
-    scale = lcm(*{w.denominator
-                  for ws in (instance.weights, space.weights) for w in ws})
+    scale = _common_denominator(instance.weights, space.weights)
     n_items = len(instance)
     n_atoms = len(space)
     source = 0
     sink = 1 + n_items + n_atoms
-    supply = sum(int(w * scale) for w in instance.weights)
-    arcs = []
-    for i, w in enumerate(instance.weights):
-        arcs.append((source, 1 + i, int(w * scale)))
+    need = _cleared(instance.weights, scale)
+    supply = sum(need)
+    arcs = [(source, 1 + i, c) for i, c in enumerate(need)]
     item_atom_start = len(arcs)
     pair_of_arc = []
     for i, ev in enumerate(instance.events):
@@ -298,8 +310,8 @@ def solve_allocation(instance):
         for j in sorted(map(space.index, ev)):
             arcs.append((1 + i, 1 + n_items + j, supply))
             pair_of_arc.append((instance.ids[i], space.ids[j]))
-    for j, w in enumerate(space.weights):
-        arcs.append((1 + n_items + j, sink, int(w * scale)))
+    for j, c in enumerate(_cleared(space.weights, scale)):
+        arcs.append((1 + n_items + j, sink, c))
     value, flows = _max_flow(sink + 1, arcs, source, sink)
     if value != supply:
         return None
@@ -313,33 +325,48 @@ def solve_allocation(instance):
 
 def verify_allocation(instance, allocation):
     """Exact check of every allocation invariant, in one pass over the
-    masses; never raises on content."""
+    masses; never raises on content.
+
+    Sums and comparisons are on integers over one common denominator D,
+    the lcm of the instance's weight denominators and of the allocation's
+    mass denominators, so the check stays exact for any allocation,
+    whatever denominators its masses have.
+    """
     space = instance.space
+    masses = allocation.masses
+    scale = _common_denominator(instance.weights, space.weights,
+                                masses.values())
     event_of = dict(zip(instance.ids, instance.events))
-    item_total = dict.fromkeys(instance.ids, ZERO)
-    atom_total = dict.fromkeys(space.ids, ZERO)
-    for (x, a), m in allocation.masses.items():
+    item_total = dict.fromkeys(instance.ids, 0)
+    atom_total = dict.fromkeys(space.ids, 0)
+    for (x, a), m in masses.items():
         # an item's event holds only atoms of the space
-        if a not in event_of.get(x, ()) or m < 0:
+        if a not in event_of.get(x, ()) or m.numerator < 0:
             return False
-        item_total[x] += m
-        atom_total[a] += m
-    return all(
-        item_total[x] == w for x, w in zip(instance.ids, instance.weights)
-    ) and all(atom_total[a] <= w for a, w in zip(space.ids, space.weights))
+        units = m.numerator * (scale // m.denominator)
+        item_total[x] += units
+        atom_total[a] += units
+    return item_total == dict(
+        zip(instance.ids, _cleared(instance.weights, scale))
+    ) and all(t <= c for t, c in zip(atom_total.values(),
+                                     _cleared(space.weights, scale)))
 
 
 def realizable_labels(instance, allocation):
     """Which items' shares are honest events: drawing either none or all of
     every atom's mass.  Such a share is an exact D_x subset of C_x with
-    mu(D_x) = w_x."""
+    mu(D_x) = w_x.  Masses are compared as integers over one common
+    denominator, as in verify_allocation."""
     space = instance.space
-    labels = {}
-    for x in instance.ids:
-        labels[x] = all(
-            allocation.mass(x, a) in (ZERO, w)
-            for a, w in zip(space.ids, space.weights)
-        )
+    masses = allocation.masses
+    scale = _common_denominator(space.weights, masses.values())
+    full = dict(zip(space.ids, _cleared(space.weights, scale)))
+    labels = dict.fromkeys(instance.ids, True)
+    for (x, a), m in masses.items():
+        if x in labels and a in full:
+            units = m.numerator * (scale // m.denominator)
+            if units and units != full[a]:
+                labels[x] = False
     return labels
 
 

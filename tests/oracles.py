@@ -241,6 +241,26 @@ def hall_condition_by_enumeration(instance):
     return False, tuple(instance.ids[i] for i in chosen)
 
 
+def verify_allocation_fractions(instance, allocation):
+    """Every allocation invariant, summed and compared as Fractions: each
+    mass nonnegative and on an atom of its item's event, each item paid
+    exactly its weight, no atom overdrawn.  clog.hall.verify_allocation
+    sums integers over one common denominator and must agree with this."""
+    space = instance.space
+    event_of = dict(zip(instance.ids, instance.events))
+    item_total = dict.fromkeys(instance.ids, Fraction(0))
+    atom_total = dict.fromkeys(space.ids, Fraction(0))
+    for (x, a), m in allocation.masses.items():
+        # an item's event holds only atoms of the space
+        if a not in event_of.get(x, ()) or m < 0:
+            return False
+        item_total[x] += m
+        atom_total[a] += m
+    return all(
+        item_total[x] == w for x, w in zip(instance.ids, instance.weights)
+    ) and all(atom_total[a] <= w for a, w in zip(space.ids, space.weights))
+
+
 def solve_lp_fractions(n_vars, rows, objective=None, positive_above=None):
     """The textbook two-phase simplex on a Fraction tableau, with Bland's
     rule: (status, value, point) for clog.simplex.solve_lp's problem, where

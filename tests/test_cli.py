@@ -148,10 +148,12 @@ def test_unsat_witness(capsys):
     )
     assert rc == 0
     assert out == '{"cmd":"unsat-witness","status":"ok","n":1}\n'
-    # a satisfiable set has no witness at any cap
-    rc, out = run(capsys, ["unsat-witness", "--premise", "p", "--cap", "4"])
-    assert rc == 1
-    assert json.loads(out)["n"] is None
+    # a satisfiable set has no witness at any cap, also where the candidate
+    # formulas would pass the branch budget
+    for cap in ("4", "100"):
+        rc, out = run(capsys, ["unsat-witness", "--premise", "p", "--cap", cap])
+        assert rc == 1
+        assert out == '{"cmd":"unsat-witness","status":"fail","n":null}\n'
 
 
 def test_find_and_check_proof(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -112,6 +113,16 @@ def test_verify_rejects_bad_allocations():
     shared = hall.Allocation({("x", "w1"): rat(1, 4), ("x", "w2"): rat(1, 4),
                               ("y", "w1"): rat(1, 4), ("y", "w2"): rat(1, 4)})
     assert hall.verify_allocation(pair, shared)
+    # masses in thirds, sixths and sevenths on a space of halves: the
+    # common denominator must cover the masses too
+    spread = hall.HallInstance(sp, [("x", rat(1, 2), ["w1", "w2"])])
+    thirds = hall.Allocation({("x", "w1"): rat(1, 3), ("x", "w2"): rat(1, 6)})
+    assert hall.verify_allocation(spread, thirds)
+    sevenths = hall.Allocation({("x", "w1"): rat(1, 3), ("x", "w2"): rat(1, 7)})
+    assert not hall.verify_allocation(spread, sevenths)
+    # an item of weight zero is paid by no mass at all
+    idle = hall.HallInstance(sp, [("x", rat(1, 2), ["w1"]), ("z", 0, ["w2"])])
+    assert hall.verify_allocation(idle, hall.Allocation({("x", "w1"): rat(1, 2)}))
 
 
 def random_instance(rng):
@@ -125,6 +136,67 @@ def random_instance(rng):
         ev = [a for a in sp.ids if rng.random() < 0.5]
         items.append(("x%d" % i, w, ev))
     return hall.HallInstance(sp, items)
+
+
+def perturbations(inst, alloc):
+    """Copies of a solved allocation, each with one change: a mass moved
+    outside its item's event, one unit short, one unit over an atom's
+    weight, one unit moved to another atom of the event, a negative mass,
+    an unknown item or atom, or a mass in sevenths of a unit, which no
+    denominator of random_instance divides."""
+    space = inst.space
+    scale = math.lcm(*(w.denominator for w in inst.weights + space.weights))
+    assert scale % 7
+    unit = Fraction(1, scale)
+    weight = dict(zip(space.ids, space.weights))
+    event_of = dict(zip(inst.ids, inst.events))
+    out = []
+
+    def changed(pair, delta, to=None):
+        masses = dict(alloc.masses)
+        masses[pair] -= delta
+        if to is not None:
+            masses[to] = masses.get(to, 0) + delta
+        return hall.Allocation(masses)
+
+    for pair in sorted(alloc.masses):
+        x, a = pair
+        m = alloc.masses[pair]
+        outside = [b for b in space.ids if b not in event_of[x]]
+        if outside:
+            out.append(changed(pair, m, (x, outside[0])))
+        out.append(changed(pair, unit))
+        out.append(changed(pair, -(weight[a] - alloc.atom_total(a) + unit)))
+        others = sorted(event_of[x] - {a})
+        if others:
+            out.append(changed(pair, unit, (x, others[0])))
+            out.append(changed(pair, unit / 7, (x, others[-1])))
+        out.append(changed(pair, -unit / 7))
+        negative = hall.Allocation(alloc.masses)
+        negative.masses[pair] = -m  # the constructor refuses it
+        out.append(negative)
+        out.append(changed(pair, unit, ("stranger", a)))
+        out.append(changed(pair, unit, (x, "nowhere")))
+    return out
+
+
+def test_verify_matches_fraction_verifier():
+    """The integer verifier judges as the Fraction one on solved
+    allocations and on copies with one change each."""
+    rng = random.Random(44)
+    cases = accepted = 0
+    while cases < 1000:
+        inst = random_instance(rng)
+        alloc = hall.solve_allocation(inst)
+        if alloc is None:
+            continue
+        for case in [alloc] + perturbations(inst, alloc):
+            want = oracles.verify_allocation_fractions(inst, case)
+            assert hall.verify_allocation(inst, case) == want, (
+                hall.instance_to_json(inst), case)
+            cases += 1
+            accepted += want
+    assert accepted >= 100 and cases - accepted >= 500
 
 
 def test_condition_iff_allocation():
