@@ -77,9 +77,6 @@ class Affine:
             (c for c in self.coeffs.values() if c > 0), start=ZERO
         )
 
-    def is_zero(self):
-        return not self.coeffs and self.const == 0
-
     def key(self):
         """Canonical form of the constraint self >= 0 (integer, gcd-reduced)."""
         lcm = math.lcm(

@@ -18,8 +18,8 @@ from collections import deque
 from functools import lru_cache
 from math import lcm
 
-from .rationals import ZERO, format_rat, parse_rat, rat
-from .rv import FiniteProbSpace, space_from_json, space_to_json
+from .rationals import format_rat, parse_rat, rat
+from .rv import space_from_json, space_to_json
 
 
 @lru_cache(maxsize=1024)
@@ -215,15 +215,6 @@ class Allocation:
         for m in self.masses.values():
             if m < 0:
                 raise ValueError("negative mass")
-
-    def mass(self, item_id, atom_id):
-        return self.masses.get((item_id, atom_id), ZERO)
-
-    def atom_total(self, atom_id):
-        return sum(
-            (m for (_, a), m in self.masses.items() if a == atom_id),
-            start=ZERO,
-        )
 
     def __eq__(self, other):
         return isinstance(other, Allocation) and self.masses == other.masses

@@ -17,8 +17,7 @@ import operator
 from . import syntax
 from .rationals import ZERO, format_rat, is_unit_interval, parse_rat, rat
 from .rv import (
-    FiniteProbSpace, JointDistribution, RandomVariable, expectation, space_from_json,
-    space_to_json)
+    RandomVariable, expectation, joint_distribution, space_from_json, space_to_json)
 from .syntax import (
     METRIC_SYMBOL, Apply, Atom, Const0, Half, Inf, Monus, Neg, Pred, Signature, Sup, Var)
 
@@ -181,9 +180,6 @@ class RandomFamily:
         self.space = space
         self.structures = tuple(structures)
         self.signature = sig
-
-    def structure(self, atom_id):
-        return self.structures[self.space.index(atom_id)]
 
     def __eq__(self, other):
         return (
@@ -638,7 +634,7 @@ def _weighted_sum(weights, values):
 
 def type_measure(sections, family, formulas, names=None):
     """Pushforward of the space measure under the formula-value labels, as
-    a JointDistribution of the formulas' values.
+    the joint_distribution of the formulas' values (at least one formula).
 
     The i-th section is bound to the variable names[i] (default x0, x1, ...);
     each atom is labelled by the tuple of formula values there, and atoms
@@ -648,12 +644,7 @@ def type_measure(sections, family, formulas, names=None):
     if names is None:
         names = ["x%d" % i for i in range(len(sections))]
     env = dict(zip(names, sections))
-    value_rows = [bracket(phi, env, family).values for phi in formulas]
-    masses = {}
-    for i, w in enumerate(family.space.weights):
-        label = tuple(row[i] for row in value_rows)
-        masses[label] = masses.get(label, ZERO) + w
-    return JointDistribution(masses)
+    return joint_distribution([bracket(phi, env, family) for phi in formulas])
 
 
 def pairing(measure, index):
@@ -782,11 +773,3 @@ def family_from_json(data):
     except (KeyError, TypeError) as e:
         raise ValueError("malformed family: %s" % (e,)) from None
     return RandomFamily(space, structures)
-
-
-def section_to_json(sec):
-    return list(sec.values)
-
-
-def section_from_json(family, data):
-    return Section(family, data)

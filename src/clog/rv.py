@@ -2,9 +2,9 @@
 
 Everything is exact rational arithmetic: expectation, the L1 metric,
 residuals of the random-variable axioms, the atomlessness defect, the
-event-algebra operations, the staged interpretation of integrals over
-events, joint distributions as quantifier-free types, and conditional
-expectation along finite partitions.
+staged interpretation of integrals over events, joint distributions as
+quantifier-free types, and conditional expectation along finite
+partitions.
 
 Events are frozensets of atom ids.  Formulas are reused as terms over
 random variables: each propositional atom names an RV and the connectives
@@ -347,44 +347,6 @@ def arv_defect(space, x, with_witness=False):
     return -best
 
 
-# --- the event algebra ------------------------------------------------------------
-
-
-def meet(space, a, b):
-    return space.event(a) & space.event(b)
-
-
-def join(space, a, b):
-    return space.event(a) | space.event(b)
-
-
-def complement(space, a):
-    return frozenset(space.ids) - space.event(a)
-
-
-def embed(space, event):
-    """The characteristic function of the event as a random variable."""
-    ev = space.event(event)
-    return RandomVariable(
-        space, [ONE if a in ev else ZERO for a in space.ids]
-    )
-
-
-def nearest_event(g):
-    """The event {g >= 1/2}, a closest 0/1-valued approximation of g."""
-    return frozenset(
-        a for a, v in zip(g.space.ids, g.values) if v >= HALF
-    )
-
-
-def dist_to_algebra(g):
-    """Distance from g to the set of events: E(g and not-g)."""
-    return sum(
-        (w * min(v, ONE - v) for w, v in zip(g.space.weights, g.values)),
-        start=ZERO,
-    )
-
-
 # --- staged interpretation of the integral -----------------------------------------
 
 
@@ -495,18 +457,6 @@ def qf_type_equal(fbar, gbar):
     return joint_distribution(fbar) == joint_distribution(gbar)
 
 
-def qf_type_equal_over(fbar, partition_f, gbar, partition_g):
-    """Type equality over a conditioning algebra, given as a partition on
-    each tuple's space: compare the joint laws of the tuples extended by
-    the indicator variables of their partition blocks."""
-    fbar, gbar = list(fbar), list(gbar)
-    if len(partition_f) != len(partition_g):
-        raise ValueError("partitions must have the same number of blocks")
-    ext_f = fbar + [embed(_same_space(*fbar), b) for b in partition_f]
-    ext_g = gbar + [embed(_same_space(*gbar), b) for b in partition_g]
-    return qf_type_equal(ext_f, ext_g)
-
-
 # --- conditioning -------------------------------------------------------------------
 
 
@@ -534,64 +484,6 @@ def cond_expectation(x, partition):
         for a in b:
             out[space.index(a)] = mean
     return RandomVariable(space, out)
-
-
-def generated_partition(space, rvs):
-    """Coarsest partition of the atoms making every given RV measurable
-    (constant on blocks); with no RVs this is the single block of all atoms."""
-    rvs = list(rvs)
-    for rv in rvs:
-        if rv.space != space:
-            raise ValueError("random variable on a different space")
-    blocks = {}
-    order = []
-    for i, a in enumerate(space.ids):
-        key = tuple(rv.values[i] for rv in rvs)
-        if key not in blocks:
-            blocks[key] = []
-            order.append(key)
-        blocks[key].append(a)
-    return [frozenset(blocks[key]) for key in order]
-
-
-# --- functional calculus ---------------------------------------------------------
-
-
-def square_approximant(n):
-    """A formula in the atom x computing the stage-n chord approximation of
-    x^2 (interpolation at the dyadics k/2^n), exactly.
-
-    Stage 0 is x itself; each refinement subtracts a scaled triangular wave:
-    g_{m+1} = g_m - 4^-(m+1) W_{m+1}, with W_1 the unit tent and
-    W_{m+1} = min(2 W_m, 2 (1 - W_m)).  The truncations never bite (each
-    subtrahend fits under g_m, each doubled wave is capped by the min), so
-    the formula value equals the chord interpolant; its error against x^2 is
-    at most 4^-n / 4.
-    """
-    if n < 0:
-        raise ValueError("stage must be nonnegative")
-    from . import syntax
-    from .syntax import Atom, Half, Monus, Neg, conj
-
-    x = Atom("x")
-    g = x
-    wave = None
-    for m in range(1, n + 1):
-        if wave is None:
-            wave = conj(
-                syntax.truncated_add(x, x),
-                syntax.truncated_add(Neg(x), Neg(x)),
-            )
-        else:
-            wave = conj(
-                syntax.truncated_add(wave, wave),
-                syntax.truncated_add(Neg(wave), Neg(wave)),
-            )
-        scaled = wave
-        for _ in range(2 * m):
-            scaled = Half(scaled)
-        g = Monus(g, scaled)
-    return g
 
 
 # --- JSON forms -----------------------------------------------------------------

@@ -40,6 +40,7 @@ first-order evaluation routes in `randomisation` are passes over positions,
 so formulas of either kind may nest to any depth; only terms still recurse.
 """
 
+import re
 import sys
 
 from .rationals import rat
@@ -306,21 +307,6 @@ def monus_chain(psi, n, phi):
     return f
 
 
-def times_chain(m, phi):
-    """m*phi with truncated addition: phi (+) ... (+) phi, left-nested.
-
-    m = 0 gives the constant 0.
-    """
-    if m < 0:
-        raise ValueError("repeat count must be >= 0")
-    if m == 0:
-        return Const0()
-    f = phi
-    for _ in range(m - 1):
-        f = truncated_add(f, phi)
-    return f
-
-
 # --- structural helpers -------------------------------------------------------
 
 _PROPOSITIONAL = (Const0, Atom, Neg, Half, Monus)
@@ -499,11 +485,6 @@ def free_variables_at(nodes, pos):
     return fold(nodes, pos, _FREE_VARIABLES)
 
 
-def free_variables(formula):
-    """Free term variables of a first-order formula."""
-    return set(free_variables_at(*subformulas(formula))[-1])
-
-
 # --- signatures ----------------------------------------------------------------
 
 class Signature:
@@ -537,20 +518,9 @@ class Signature:
             and self.predicates == other.predicates
         )
 
-    def pred_arity(self, name):
-        if name == METRIC_SYMBOL:
-            return 2
-        return len(self.predicates[name])
-
-    def func_arity(self, name):
-        return len(self.functions[name])
-
-    def validate_formula(self, formula):
-        """Check arities and that every symbol is declared; raise ValueError."""
-        self.validate_subformulas(subformulas(formula)[0])
-
     def validate_subformulas(self, nodes):
-        """validate_formula, given the formula's subformulas(...) nodes."""
+        """Check arities and that every symbol is declared, given a
+        formula's subformulas(...) nodes; raise ValueError."""
         for f in nodes:
             if type(f) is Pred:
                 if f.name == METRIC_SYMBOL:
@@ -584,73 +554,44 @@ def _is_identifier(s):
 
 _T_LPAREN, _T_RPAREN, _T_BAR, _T_MINUS, _T_AND, _T_OR, _T_PLUS = range(7)
 _T_ZERO, _T_ONE, _T_DYADIC, _T_IDENT, _T_DOT, _T_COMMA, _T_END = range(7, 14)
+_SYMBOLS = {
+    "(": _T_LPAREN, ")": _T_RPAREN, "|": _T_BAR, "-": _T_MINUS, "/\\": _T_AND,
+    "\\/": _T_OR, "(+)": _T_PLUS, "0": _T_ZERO, "1": _T_ONE, ".": _T_DOT,
+    ",": _T_COMMA,
+}
+# Whitespace, then one token: a symbol ('(+)' before '('), '2^-' and its
+# digits, a word, or any other character, which is an error.  \w also
+# matches digits such as '²', so _tokenize checks a word's first character.
+_TOKEN = re.compile(r"(\s*)(?:(\(\+\)|[()|\-.,01]|/\\|\\/)|2\^-([0-9]*)|(\w+)|(\S))")
 
 
 def _tokenize(text):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("(+)", i):
-            toks.append((_T_PLUS, None, i))
-            i += 3
-        elif c == "(":
-            toks.append((_T_LPAREN, None, i))
-            i += 1
-        elif c == ")":
-            toks.append((_T_RPAREN, None, i))
-            i += 1
-        elif c == "|":
-            toks.append((_T_BAR, None, i))
-            i += 1
-        elif c == "-":
-            toks.append((_T_MINUS, None, i))
-            i += 1
-        elif text.startswith("/\\", i):
-            toks.append((_T_AND, None, i))
-            i += 2
-        elif text.startswith("\\/", i):
-            toks.append((_T_OR, None, i))
-            i += 2
-        elif text.startswith("2^-", i):
-            j = i + 3
-            if j >= n or not "0" <= text[j] <= "9":
-                raise ParseError("expected digits after '2^-'", j)
-            k = j
-            while k < n and "0" <= text[k] <= "9":
-                k += 1
-            digits = text[j:k].lstrip("0") or "0"
-            if len(digits) > 5 or int(digits) > MAX_DYADIC_EXPONENT:
-                raise ParseError(
-                    "exponent of '2^-' above %d" % MAX_DYADIC_EXPONENT, j
-                )
-            toks.append((_T_DYADIC, int(digits), i))
-            i = k
-        elif c == "0":
-            toks.append((_T_ZERO, None, i))
-            i += 1
-        elif c == "1":
-            toks.append((_T_ONE, None, i))
-            i += 1
-        elif c == ".":
-            toks.append((_T_DOT, None, i))
-            i += 1
-        elif c == ",":
-            toks.append((_T_COMMA, None, i))
-            i += 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+    i = 0  # where the next token starts
+    for space, symbol, digits, word, other in _TOKEN.findall(text):
+        i += len(space)
+        if symbol:
+            toks.append((_SYMBOLS[symbol], None, i))
+            i += len(symbol)
+        elif word:
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError("unexpected character %r" % word[0], i)
             # names repeat across formulas: one string object each
-            toks.append((_T_IDENT, sys.intern(text[i:j]), i))
-            i = j
+            toks.append((_T_IDENT, sys.intern(word), i))
+            i += len(word)
+        elif other:
+            raise ParseError("unexpected character %r" % other, i)
         else:
-            raise ParseError("unexpected character %r" % c, i)
-    toks.append((_T_END, None, n))
+            if not digits:
+                raise ParseError("expected digits after '2^-'", i + 3)
+            exponent = digits.lstrip("0") or "0"
+            if len(exponent) > 5 or int(exponent) > MAX_DYADIC_EXPONENT:
+                raise ParseError(
+                    "exponent of '2^-' above %d" % MAX_DYADIC_EXPONENT, i + 3
+                )
+            toks.append((_T_DYADIC, int(exponent), i))
+            i += 3 + len(digits)
+    toks.append((_T_END, None, len(text)))
     return toks
 
 

@@ -68,8 +68,8 @@ def test_solve_allocation_examples():
     alloc = hall.solve_allocation(fine)
     assert alloc is not None
     assert hall.verify_allocation(fine, alloc)
-    assert alloc.mass("x", "w1") == rat(1, 2)
-    assert alloc.mass("y", "w2") == rat(1, 2)
+    assert alloc.masses["x", "w1"] == rat(1, 2)
+    assert alloc.masses["y", "w2"] == rat(1, 2)
 
     blocked = hall.HallInstance(
         sp, [("x", rat(1, 2), ["w1"]), ("y", rat(1, 2), ["w1"])]
@@ -85,8 +85,8 @@ def test_tight_single_item():
     alloc = hall.solve_allocation(inst)
     assert alloc is not None and hall.verify_allocation(inst, alloc)
     # C_x is saturated exactly
-    assert alloc.mass("x", "b") == rat(1, 3)
-    assert alloc.mass("x", "c") == rat(1, 6)
+    assert alloc.masses["x", "b"] == rat(1, 3)
+    assert alloc.masses["x", "c"] == rat(1, 6)
     assert hall.realizable_labels(inst, alloc) == {"x": True}
 
 
@@ -166,7 +166,8 @@ def perturbations(inst, alloc):
         if outside:
             out.append(changed(pair, m, (x, outside[0])))
         out.append(changed(pair, unit))
-        out.append(changed(pair, -(weight[a] - alloc.atom_total(a) + unit)))
+        spare = weight[a] - sum(m for (_, b), m in alloc.masses.items() if b == a)
+        out.append(changed(pair, -(spare + unit)))
         others = sorted(event_of[x] - {a})
         if others:
             out.append(changed(pair, unit, (x, others[0])))
@@ -242,7 +243,7 @@ def test_full_weight_gives_partition():
             continue
         built += 1
         for a, w in zip(sp.ids, sp.weights):
-            assert alloc.atom_total(a) == w
+            assert sum(m for (_, b), m in alloc.masses.items() if b == a) == w
 
 
 def test_realizable_labels_split_atom():

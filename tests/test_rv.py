@@ -184,48 +184,6 @@ def test_arv_defect_never_beaten_by_grid():
             assert oracles.arv_objective(sp.weights, x.values, ys) >= value
 
 
-# ---- events --------------------------------------------------------------------
-
-
-def test_event_algebra():
-    sp = rv.FiniteProbSpace(
-        [("a", rat(1, 2)), ("b", rat(1, 4)), ("c", rat(1, 4))]
-    )
-    a = sp.event(["a", "b"])
-    assert rv.meet(sp, a, ["b", "c"]) == {"b"}
-    assert rv.join(sp, a, ["c"]) == {"a", "b", "c"}
-    assert rv.complement(sp, a) == {"c"}
-    assert sp.mu(rv.join(sp, a, rv.complement(sp, a))) == 1
-    ind = rv.embed(sp, ["b"])
-    assert ind.values == (0, 1, 0)
-    assert rv.expectation(ind) == sp.mu(["b"])
-
-
-def test_dist_to_algebra():
-    sp = uniform2()
-    g = rv.RandomVariable(sp, [rat(1, 2), 0])
-    assert rv.dist_to_algebra(g) == rat(1, 4)
-    assert rv.nearest_event(g) == {"a"}
-    assert rv.l1_dist(g, rv.embed(sp, {"a"})) == rat(1, 4)
-    crisp = rv.embed(sp, {"b"})
-    assert rv.dist_to_algebra(crisp) == 0
-
-
-def test_dist_to_algebra_is_min_over_events():
-    rng = random.Random(23)
-    for _ in range(12):
-        sp = random_space(rng, max_atoms=5)
-        g = random_rv(rng, sp)
-        want = rv.dist_to_algebra(g)
-        best = min(
-            rv.l1_dist(g, rv.embed(sp, set(sub)))
-            for k in range(len(sp) + 1)
-            for sub in itertools.combinations(sp.ids, k)
-        )
-        assert want == best
-        assert rv.l1_dist(g, rv.embed(sp, rv.nearest_event(g))) == best
-
-
 # ---- staged integrals ------------------------------------------------------------
 
 
@@ -378,17 +336,6 @@ def test_type_equality_matches_term_expectations():
     assert agree_seen >= 5 and disagree_seen >= 5
 
 
-def test_type_equality_over_an_algebra():
-    # unconditionally equal types, separated by conditioning on a block
-    sp = rv.FiniteProbSpace.uniform(["a", "b", "c", "d"])
-    f = rv.RandomVariable(sp, [0, 1, 0, 1])
-    g = rv.RandomVariable(sp, [0, 0, 1, 1])
-    assert rv.qf_type_equal([f], [g])
-    left = [["a", "b"], ["c", "d"]]
-    assert not rv.qf_type_equal_over([f], left, [g], left)
-    assert rv.qf_type_equal_over([f], left, [f], left)
-
-
 # ---- conditioning ----------------------------------------------------------------
 
 
@@ -422,76 +369,6 @@ def test_cond_expectation_partition_errors():
         rv.cond_expectation(x, [["a", "b"], ["b", "c"]])  # overlaps
     with pytest.raises(ValueError):
         rv.cond_expectation(x, [["a", "b", "c"], []])  # empty block
-
-
-def test_generated_partition():
-    sp = rv.FiniteProbSpace.uniform(["a", "b", "c"])
-    assert rv.generated_partition(sp, []) == [frozenset(["a", "b", "c"])]
-    inj = rv.RandomVariable(sp, [0, rat(1, 2), 1])
-    assert rv.generated_partition(sp, [inj]) == [
-        frozenset(["a"]), frozenset(["b"]), frozenset(["c"]),
-    ]
-    f = rv.RandomVariable(sp, [0, 0, 1])
-    g = rv.RandomVariable(sp, [0, 1, 1])
-    assert rv.generated_partition(sp, [f, g]) == [
-        frozenset(["a"]), frozenset(["b"]), frozenset(["c"]),
-    ]
-    assert rv.generated_partition(sp, [f]) == [
-        frozenset(["a", "b"]), frozenset(["c"]),
-    ]
-
-
-def test_generated_partition_is_coarsest():
-    rng = random.Random(26)
-    for _ in range(15):
-        sp = random_space(rng, max_atoms=5)
-        rvs = [random_rv(rng, sp, max_den=3) for _ in range(rng.randint(0, 3))]
-        blocks = rv.generated_partition(sp, rvs)
-        assert sorted(a for b in blocks for a in b) == sorted(sp.ids)
-        for b in blocks:
-            for x in rvs:
-                vals = {x.values[sp.index(a)] for a in b}
-                assert len(vals) == 1
-        # coarsest: any two distinct blocks are separated by some rv
-        for b1, b2 in itertools.combinations(blocks, 2):
-            a1, a2 = next(iter(b1)), next(iter(b2))
-            assert any(
-                x.values[sp.index(a1)] != x.values[sp.index(a2)] for x in rvs
-            )
-        out = rv.cond_expectation(
-            rv.RandomVariable(sp, [rat(1, 2)] * len(sp)), blocks
-        )
-        assert set(out.values) == {rat(1, 2)}
-
-
-# ---- functional calculus ---------------------------------------------------------
-
-
-def test_square_approximants():
-    single = rv.FiniteProbSpace([("w", 1)])
-    rng = random.Random(27)
-    points = [rat(k, 16) for k in range(17)]
-    points += [oracles.random_rational(rng, odd_den=True) for _ in range(10)]
-    for stage in range(5):
-        term = rv.square_approximant(stage)
-        tolerance = rat(1, 4 ** (stage + 1))
-        for v in points:
-            got = rv.rv_eval(
-                term, {"x": rv.RandomVariable(single, [v])}, single
-            ).values[0]
-            assert abs(got - v * v) <= tolerance
-    with pytest.raises(ValueError):
-        rv.square_approximant(-1)
-
-
-def test_square_approximant_interpolates():
-    # stage n is exact at the dyadic nodes k/2^n
-    single = rv.FiniteProbSpace([("w", 1)])
-    term = rv.square_approximant(3)
-    for k in range(9):
-        v = rat(k, 8)
-        got = rv.rv_eval(term, {"x": rv.RandomVariable(single, [v])}, single)
-        assert got.values[0] == v * v
 
 
 # ---- JSON ------------------------------------------------------------------------

@@ -57,8 +57,6 @@ def test_sugar_semantics():
         assert evaluate(syntax.truncated_add(p, q), env) == min(1, vp + vq)
     for n in range(6):
         assert evaluate(syntax.dyadic(n), {}) == Fraction(1, 2**n)
-    assert evaluate(syntax.times_chain(3, p), {"p": Fraction(2, 5)}) == 1
-    assert evaluate(syntax.times_chain(2, p), {"p": Fraction(2, 5)}) == Fraction(4, 5)
 
 
 def test_eval_is_1_lipschitz_in_each_atom():
@@ -95,7 +93,7 @@ def test_branch_cell_shapes():
     cells = enumerate_branches(F("(p - q)"))
     assert len(cells) == 2
     values = sorted(str(c.value) for c in cells)
-    assert any(c.value.is_zero() for c in cells)
+    assert any(not c.value.coeffs and c.value.const == 0 for c in cells)
 
 
 def test_box_faces_are_not_cells():
@@ -105,7 +103,8 @@ def test_box_faces_are_not_cells():
     for j in range(12):
         f = syntax.Monus(f, Atom("a%d" % j))
     cells = enumerate_branches(f)
-    assert len(cells) == 1 and cells[0].value.is_zero()
+    assert len(cells) == 1
+    assert not cells[0].value.coeffs and cells[0].value.const == 0
 
 
 def test_sup_examples():

@@ -22,7 +22,7 @@ from clog.syntax import (
     conj,
     disj,
     dyadic,
-    free_variables,
+    free_variables_at,
     is_propositional,
     monus_chain,
     monus_count,
@@ -32,8 +32,6 @@ from clog.syntax import (
     print_formula,
     subformulas,
     substitute,
-    times_chain,
-    truncated_add,
 )
 
 
@@ -79,9 +77,6 @@ def test_chains():
     p, q = Atom("p"), Atom("q")
     assert monus_chain(p, 0, q) == p
     assert monus_chain(p, 2, q) == Monus(Monus(p, q), q)
-    assert times_chain(0, p) == Const0()
-    assert times_chain(1, p) == p
-    assert times_chain(3, p) == truncated_add(truncated_add(p, p), p)
     with pytest.raises(ValueError):
         monus_chain(p, -1, q)
 
@@ -136,6 +131,16 @@ def test_parse_errors():
             parse_formula(bad)
         assert str(exc.value) == "expected digits after '2^-' (at offset %d)" % (
             bad.index("2^-") + 3)
+    # identifiers start with a letter or '_' and go on with any str.isalnum()
+    assert parse_formula("p²") == Atom("p²")
+    assert parse_formula("é") == Atom("é")
+    for bad, message, at in [
+        ("²p", "unexpected character '²'", 0),
+        ("p\t-", "trailing input", 2),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_formula(bad)
+        assert str(exc.value) == "%s (at offset %d)" % (message, at)
     with pytest.raises(ParseError):
         parse_formula("inf x. P(x)")  # quantifiers need the first-order parser
     with pytest.raises(ParseError):
@@ -157,8 +162,8 @@ def test_lformula_roundtrip():
         ),
     )
     assert parse_lformula(print_formula(f)) == f
-    assert free_variables(f) == set()
-    assert free_variables(f.body) == {"x"}
+    assert free_variables_at(*subformulas(f))[-1] == set()
+    assert free_variables_at(*subformulas(f.body))[-1] == {"x"}
     assert not is_propositional(f)
 
 
@@ -170,18 +175,14 @@ def test_lformula_allows_propositional_clauses():
 
 def test_signature_validation():
     sig = Signature(functions={"f": ["1", 2]}, predicates={"P": [1]})
-    assert sig.func_arity("f") == 2
-    assert sig.pred_arity("P") == 1
-    assert sig.pred_arity("d") == 2
-    sig.validate_formula(parse_lformula("inf x. (P(x) - d(x, x))"))
-    with pytest.raises(ValueError):
-        sig.validate_formula(parse_lformula("Q(x)"))
-    with pytest.raises(ValueError):
-        sig.validate_formula(parse_lformula("P(x, x)"))
-    with pytest.raises(ValueError):
-        sig.validate_formula(parse_lformula("d(x, x, x)"))
-    with pytest.raises(ValueError):
-        sig.validate_formula(parse_lformula("P(g(x))"))
+
+    def validate(text):
+        sig.validate_subformulas(subformulas(parse_lformula(text))[0])
+
+    validate("inf x. (P(x) - d(x, x))")
+    for text in ["Q(x)", "P(x, x)", "d(x, x, x)", "P(g(x))"]:
+        with pytest.raises(ValueError):
+            validate(text)
     with pytest.raises(ValueError):
         Signature(predicates={"d": [1, 1]})
     with pytest.raises(ValueError):
@@ -218,7 +219,7 @@ def test_walkers_never_hash_or_compare_nodes(monkeypatch):
             "A2", {"phi": A("half p"), "psi": A("(p - q)"), "rho": A("neg q")})
         shared = A("( ((p - q) - (p - q)) - half (p - q) )")
         lf = parse_lformula("inf x. sup y. (P(x) - d(x, f(y, c())))")
-        sig.validate_formula(lf)
+        sig.validate_subformulas(subformulas(lf)[0])
         elim = proofs.eliminate_half([A("half half p")], A("(half p - q)"))
         return [
             semantics.is_valid(a2), semantics.is_valid(shared),
