@@ -211,13 +211,9 @@ def _cmd_entail(args, parser):
     ok, point = semantics.entails_semantic(premises, goal, budget=budget)
     payload = {"valid": bool(ok)}
     if args.witness:
-        # at a countermodel every premise is 0 and the goal positive, so no
-        # m works: the search is skipped
-        payload["m"] = None
-        if ok:
-            cap = semantics.DEFAULT_WITNESS_CAP if args.cap is None else args.cap
-            payload["m"] = semantics.entails_witness(
-                premises, goal, cap=cap, budget=budget)
+        cap = semantics.DEFAULT_WITNESS_CAP if args.cap is None else args.cap
+        payload["m"] = semantics.entails_witness(
+            premises, goal, cap=cap, budget=budget)
     if not ok:
         payload["countermodel"] = _fmt_point(point)
     return ("ok" if ok else "fail"), payload
@@ -228,16 +224,8 @@ def _cmd_unsat_witness(args, parser):
 
     premises = [syntax.parse_formula(t) for t in args.premise or ()]
     cap = semantics.DEFAULT_WITNESS_CAP if args.cap is None else args.cap
-    budget = _budget()
-    # a common zero rules out every n, so the search (whose candidates grow
-    # past the budget with n) is skipped; n = 0 never certifies, as the
-    # constant 1 is not valid, so cap 0 needs no check
-    if cap and semantics.is_satisfiable(premises, budget):
-        return "fail", {"n": None}
-    n = semantics.unsat_witness(premises, cap=cap, budget=budget)
-    if n is None:
-        return "fail", {"n": None}
-    return "ok", {"n": n}
+    n = semantics.unsat_witness(premises, cap=cap, budget=_budget())
+    return ("fail" if n is None else "ok"), {"n": n}
 
 
 def _cmd_check_proof(args, parser):

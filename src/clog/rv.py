@@ -197,18 +197,15 @@ def check_rv_axioms(space, samples):
         if s.space != space:
             raise ValueError("sample on a different space")
     from . import syntax
-    from .syntax import Atom, Half, Monus, Neg, conj
+    from .proofs import instantiate_axiom
+    from .syntax import Atom, Half, Monus, conj
 
-    X, Y, Z = Atom("x"), Atom("y"), Atom("z")
-    # closed forms whose expectation must vanish in every finite model
-    terms = {
-        "RV4.1": Monus(Monus(X, Y), X),
-        "RV4.2": Monus(Monus(Monus(X, Z), Monus(X, Y)), Monus(Y, Z)),
-        "RV4.3": Monus(conj(X, Y), conj(Y, X)),
-        "RV4.4": Monus(Monus(X, Y), Monus(Neg(Y), Neg(X))),
-        "RV4.5": Monus(Half(X), Monus(X, Half(X))),
-        "RV4.6": Monus(Monus(X, Half(X)), Half(X)),
-    }
+    X, Y = Atom("x"), Atom("y")
+    # closed forms whose expectation must vanish in every finite model: the
+    # axiom schemes A1-A6 at phi = x, psi = y (A2 at phi = z, psi = y, rho = x)
+    terms = {"RV4.%d" % k: instantiate_axiom("A%d" % k, {
+        "phi": Atom("z") if k == 2 else X, "psi": Y, "rho": X})
+        for k in range(1, 7)}
     one_rv = rv_eval(syntax.one(), {}, space)
     report = {"RV2": abs(expectation(one_rv) - 1)}
 

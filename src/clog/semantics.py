@@ -1,11 +1,11 @@
 """Exact semantics and decision procedures for propositional formulas.
 
 Truth functions are piecewise affine in the atom values, so suprema,
-validity (value 0 everywhere), satisfiability and entailment are decided
-exactly by enumerating the affine cells of the formula(s) and optimizing
-with a rational LP on each (see clog.branches).  An integer grid pre-pass
-(clog.kernel) short-circuits most refutations with an exact counterexample
-before any LP runs.
+validity (value 0 everywhere), satisfiability, entailment and its
+finite-implication witness are decided exactly by enumerating the affine
+cells of the formula(s) and optimizing with a rational LP on each (see
+clog.branches); an integer grid pre-pass (clog.kernel) short-circuits most
+of is_valid's refutations with an exact counterexample before any LP runs.
 
 Each entry point traverses its formulas once, with syntax.subformulas, and
 reads the budget count, the atom order and the cell IR off that one result.
@@ -18,6 +18,7 @@ a goal iff every assignment making all premises 0 makes the goal 0.
 """
 
 import itertools
+import math
 
 from . import syntax
 from .branches import Affine, CellEnumerator, PLComb, PLMonus
@@ -154,37 +155,30 @@ def sup_value(formula, budget=None):
     return CellEnumerator(atoms).maximum(_ir(nodes, pos), ONE)
 
 
+def _positive_point(enum, cell, objective, zeros=()):
+    """A point of the cell, its own or an LP vertex, where the objective is
+    positive and the zeros (affines >= 0 on the cell) are 0, or None."""
+    if objective.box_max() <= 0:
+        return None
+    point = cell.point
+    if objective.evaluate(point) > 0 and all(z.evaluate(point) == 0 for z in zeros):
+        return point
+    # the zeros are >= 0 on the cell already, so one inequality each pins them
+    extra = [z.scale(-ONE) for z in zeros]
+    got = enum.optimize_cell(cell, objective, extra=extra, stop_when_positive=True)
+    return got[1] if got is not None and got[0] > 0 else None
+
+
 def _refute(atoms, term):
     """The first point found where every root but the first is 0 and the
     first is positive, or None if there is none; term is (IR nodes, root
     positions) as CellEnumerator.iter_cells takes it."""
     enum = CellEnumerator(atoms)
     for cell in enum.iter_cells(term):
-        goal_value = cell.values[0]
-        if goal_value.box_max() <= 0:
-            continue
-        if goal_value.evaluate(cell.point) > 0 and all(
-            v.evaluate(cell.point) == 0 for v in cell.values[1:]
-        ):
-            return cell.point  # the cell's own point is a countermodel
-        # premises pinned to zero: their cell values are >= 0 on the cell
-        # already, so one inequality each suffices
-        extra = [value.scale(-ONE) for value in cell.values[1:]]
-        got = enum.optimize_cell(
-            cell, goal_value, extra=extra, stop_when_positive=True
-        )
-        if got is not None and got[0] > 0:
-            return got[1]
+        point = _positive_point(enum, cell, cell.values[0], cell.values[1:])
+        if point is not None:
+            return point
     return None
-
-
-def _grid_refute(formula, atoms, denom=8):
-    """An exact positive grid point if the cheap integer sweep finds one."""
-    try:
-        value, point = grid_max(formula, atoms, denom=denom, stop_at_positive=True)
-    except KernelUnsupported:
-        return None
-    return point if value > 0 else None
 
 
 def is_valid(formula, budget=None):
@@ -195,9 +189,12 @@ def is_valid(formula, budget=None):
     """
     nodes, pos, atoms = _traverse([formula], budget)
     # integer grid pre-pass: a positive grid point is already an exact refutation
-    point = _grid_refute(formula, atoms)
-    if point is not None:
-        return False, point
+    try:
+        value, point = grid_max(formula, atoms, denom=8, stop_at_positive=True)
+        if value > 0:
+            return False, point
+    except KernelUnsupported:
+        pass
     # abstraction pre-pass: hiding repeated subformulas behind fresh atoms
     # keeps the cell count tiny, and validity of the abstraction carries over
     skeleton = _abstract_shared(formula, nodes, pos, atoms)
@@ -246,20 +243,38 @@ def entails_semantic(premises, goal, budget=None):
     return point is None, point
 
 
+def _witness(premises, goal, cap, budget):
+    """Smallest m <= cap with goal <= m*S on the box, S the premises' sum,
+    or None; goal None is the constant 1, one IR leaf the budget does not
+    charge.  goal - m*p_0 - ... - m*p_(k-1) is max(0, goal - m*S), and
+    goal/S is linear-fractional on each cell (Dinkelbach 1967): while
+    goal - m*S is positive at the cell's point or an LP vertex x, m becomes
+    the ceiling of goal(x)/S(x), which puts x out of reach for good."""
+    premises = list(premises)
+    nodes, pos, atoms = _traverse(premises + ([] if goal is None else [goal]), budget)
+    ir = _ir(nodes, pos) + [
+        Affine.constant(1), PLComb([(ONE, pos[id(p)]) for p in premises])]
+    roots = [len(nodes) if goal is None else pos[id(goal)], len(nodes) + 1]
+    enum = CellEnumerator(atoms)
+    m = 0
+    for cell in enum.iter_cells((ir, roots)):
+        value, total = cell.values
+        while (x := _positive_point(
+                enum, cell, value.minus(total.scale(m)))) is not None:
+            s = total.evaluate(x)  # 0: every premise is 0 and the goal is not
+            m = math.ceil(value.evaluate(x) / s) if s else math.inf
+            if m > cap:
+                return None
+    return m if m <= cap else None
+
+
 def entails_witness(premises, goal, cap=DEFAULT_WITNESS_CAP, budget=None):
     """Smallest m <= cap making goal - m*p_0 - ... - m*p_{n-1} valid, or None.
 
     By the finite-implication property this m exists exactly when the
     premises entail the goal (and the premise list is finite).
     """
-    premises = list(premises)
-    for m in range(cap + 1):
-        f = goal
-        for p in premises:
-            f = syntax.monus_chain(f, m, p)
-        if is_valid(f, budget=budget)[0]:
-            return m
-    return None
+    return _witness(premises, goal, cap, budget)
 
 
 def unsat_witness(premises, cap=DEFAULT_WITNESS_CAP, budget=None):
@@ -268,4 +283,4 @@ def unsat_witness(premises, cap=DEFAULT_WITNESS_CAP, budget=None):
     Such an n certifies that the premises have no common zero: it is the
     entailment witness for the goal 1.
     """
-    return entails_witness(premises, syntax.one(), cap=cap, budget=budget)
+    return _witness(premises, None, cap, budget)

@@ -5,12 +5,12 @@ Fraction recursion and exhaustive grid search (over integers scaled by a
 common denominator where every grid point is swept).  The package's
 decision procedures (branch enumeration + rational LP, the integer grid
 sweep) must agree with these on the frozen fixtures; nothing here imports
-the modules under test.
+the modules under test, except that witness_by_loop decides each of its
+candidates with semantics.is_valid to judge the one-search witness.
 """
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 from clog import syntax
@@ -162,6 +162,22 @@ def arv_defect_grid(weights, x_values, denom=64, refine=True):
 def integral_over(weights, values, event_indexes):
     """Integral of the variable over the event, i.e. sum of w*f on it."""
     return sum(exact(weights[i]) * exact(values[i]) for i in event_indexes)
+
+
+def witness_by_loop(premises, goal, cap, budget=None):
+    """Smallest m <= cap making goal - m*p_0 - ... - m*p_(k-1) valid, or
+    None: each candidate in turn, decided on its own by semantics.is_valid
+    (grid pre-pass, abstraction and the refutation search), never by the
+    one-search witness it judges."""
+    from clog import semantics
+
+    for m in range(cap + 1):
+        f = goal
+        for p in premises:
+            f = syntax.monus_chain(f, m, p)
+        if semantics.is_valid(f, budget=budget)[0]:
+            return m
+    return None
 
 
 def random_core_formula(rng, max_depth, atoms, monus_cap=None):

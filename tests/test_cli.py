@@ -18,7 +18,6 @@ import pytest
 from clog import cli, hall, randomisation, rv, syntax
 from clog.cli import main
 from clog.rationals import rat
-from clog.syntax import Signature
 
 import test_hall
 import test_randomisation
@@ -130,9 +129,6 @@ def test_entail_countermodel(capsys):
 
 
 def test_entail_witness_on_a_non_entailment(capsys):
-    # at the countermodel every premise is 0 and the goal positive, so no m
-    # works: the answer is m null, found without the witness search (which
-    # would run past the branch budget)
     rc, out = run(capsys, ["entail", "--premise", "(p - q)", "--goal", "p",
                            "--witness", "--cap", "100"])
     assert rc == 1
@@ -148,12 +144,39 @@ def test_unsat_witness(capsys):
     )
     assert rc == 0
     assert out == '{"cmd":"unsat-witness","status":"ok","n":1}\n'
-    # a satisfiable set has no witness at any cap, also where the candidate
-    # formulas would pass the branch budget
     for cap in ("4", "100"):
         rc, out = run(capsys, ["unsat-witness", "--premise", "p", "--cap", cap])
         assert rc == 1
         assert out == '{"cmd":"unsat-witness","status":"fail","n":null}\n'
+
+
+def test_witness_budget_charges_the_set_only(capsys, monkeypatch):
+    # the answers need 64 subtractions of a premise, far past the default
+    # budget of 24; the sets themselves have no truncated subtraction
+    monkeypatch.delenv("CLOG_BRANCH_BUDGET", raising=False)
+    half6 = "half " * 6 + "p"
+    rc, out = run(capsys, ["entail", "--premise", half6, "--goal", "p",
+                           "--witness", "--cap", "100"])
+    assert (rc, out) == (0, '{"cmd":"entail","status":"ok","valid":true,"m":64}\n')
+    rc, out = run(capsys, ["unsat-witness", "--premise", half6,
+                           "--premise", "neg p", "--cap", "100"])
+    assert (rc, out) == (0, '{"cmd":"unsat-witness","status":"ok","n":64}\n')
+
+
+def test_witness_work_is_bounded_by_the_cells_not_the_cap(capsys):
+    cases = [
+        (["entail", "--premise", "half " * 10 + "p", "--goal", "p",
+          "--witness", "--cap", "1000000000"],
+         '{"cmd":"entail","status":"ok","valid":true,"m":1024}\n'),
+        (["unsat-witness", "--premise", "half " * 20 + "p",
+          "--premise", "neg p", "--cap", "1000000000"],
+         '{"cmd":"unsat-witness","status":"ok","n":1048576}\n'),
+    ]
+    for argv, want in cases:
+        started = time.monotonic()
+        rc, out = run(capsys, argv)
+        assert time.monotonic() - started < 1
+        assert (rc, out) == (0, want)
 
 
 def test_find_and_check_proof(capsys, tmp_path):

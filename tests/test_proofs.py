@@ -15,7 +15,7 @@ from clog.proofs import (
     recorded_monus_self,
 )
 from clog.semantics import entails_semantic, is_valid
-from clog.syntax import Atom, Monus, parse_formula as F, print_formula as P
+from clog.syntax import Monus, parse_formula as F, print_formula as P
 
 
 def test_instantiate_axiom_examples():

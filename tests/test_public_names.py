@@ -1,5 +1,5 @@
 """Every public function, class and method of clog is reached by something
-other than its own unit tests.
+other than its own unit tests, and every import is used.
 
 A name is reached when the CLI, the README, the benchmark (`bench/`), an
 oracle (`tests/oracles.py`) or an acceptance criterion
@@ -118,3 +118,28 @@ def test_public_names_are_reached():
     assert not unreached, "nothing but tests reaches " + ", ".join(unreached)
     stale = sorted(set(KEPT) - set(unreached_names()))
     assert not stale, "KEPT lists a name that is reached or gone: " + ", ".join(stale)
+
+
+def unused_imports(path):
+    """The names a file imports and never loads, as "file:line name"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(name, node.lineno)
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        "%s:%d %s" % (path.relative_to(ROOT), line, name)
+        for name, line in imported.items() if name not in loaded
+    ]
+
+
+def test_no_unused_imports():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [entry for path in paths for entry in unused_imports(path)]
+    assert not unused, "imported and never used: " + ", ".join(unused)

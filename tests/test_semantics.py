@@ -240,6 +240,69 @@ def test_witness_agrees_with_entailment_on_random_pairs():
     assert agreements > 5
 
 
+def _random_witness_problem(rng):
+    """(premises, goal, cap): 1-3 atoms, 0-3 premises, cap 0-8; a quarter
+    of the sets hold f and neg f, a quarter entail their goal by a conj, and
+    a quarter pin an atom goal through up to three halvings."""
+    atoms = ["p", "q", "r"][: rng.randint(1, 3)]
+    premises = [oracles.random_core_formula(rng, 3, atoms, monus_cap=3)
+                for _ in range(rng.randint(0, 3))]
+    goal = oracles.random_core_formula(rng, 3, atoms, monus_cap=3)
+    kind = rng.randrange(4)
+    if premises and kind == 1:
+        premises[-1] = Neg(premises[0])
+    elif premises and kind == 2:
+        goal = syntax.conj(rng.choice(premises), goal)
+    elif premises and kind == 3:
+        goal = premises[0] = Atom(rng.choice(atoms))
+        for _ in range(rng.randint(0, 3)):
+            premises[0] = syntax.Half(premises[0])
+    return premises, goal, rng.randint(0, 8)
+
+
+def test_witness_search_matches_the_loop():
+    # the one cell search against trying m = 0, 1, ..., cap with is_valid;
+    # the loop's candidates grow by m Monus nodes per premise, so it runs
+    # under the CLI's budget and the few sets it refuses are skipped
+    rng = random.Random(20261019)
+    answers = []
+    for _ in range(1000):
+        premises, goal, cap = _random_witness_problem(rng)
+        for got, target in (
+            (entails_witness(premises, goal, cap), goal),
+            (unsat_witness(premises, cap), syntax.one()),
+        ):
+            try:
+                want = oracles.witness_by_loop(premises, target, cap, budget=24)
+            except BudgetExceeded:
+                continue
+            assert got == want, (
+                [syntax.print_formula(p) for p in premises],
+                syntax.print_formula(target), cap, got, want)
+            answers.append((len(premises), target is goal, got))
+    assert len(answers) > 1900
+    assert {a for k, _, a in answers if k == 0} == {0, None}
+    assert {a for _, g, a in answers if not g} > {None, 1, 2}  # unsat sets
+    assert {1, 2, 4, 8} < {a for _, g, a in answers if g}
+
+
+def test_witness_search_does_not_grow_with_the_answer():
+    # half^k p |= p needs m = 2^k, which the loop reaches only through 2^k
+    # ever longer candidates; the sets have no Monus node, so budget 0 holds
+    p = Atom("p")
+    for k in (6, 10, 20):
+        prem = p
+        for _ in range(k):
+            prem = syntax.Half(prem)
+        assert entails_witness([prem], p, cap=2**k, budget=0) == 2**k
+        assert entails_witness([prem], p, cap=2**k - 1) is None
+        assert unsat_witness([prem, Neg(p)], cap=2**k, budget=0) == 2**k
+        assert unsat_witness([prem, Neg(p)], cap=2**k - 1) is None
+    # where every premise is 0 and the goal is not, no m works, at any cap
+    assert entails_witness([F("(p - q)")], p, cap=10**9) is None
+    assert unsat_witness([F("(p - q)")], cap=10**9) is None
+
+
 def test_budget_enforcement():
     f = monus_chain(Atom("p"), 5, Atom("q"))
     with pytest.raises(BudgetExceeded):
@@ -257,6 +320,8 @@ def test_budget_enforcement():
         (lambda b: is_satisfiable(sat_set, budget=b), sat_set),
         (lambda b: entails_semantic(premises, goal, budget=b), premises + [goal]),
         (lambda b: sup_value(goal, budget=b), [goal]),
+        (lambda b: entails_witness(premises, goal, budget=b), premises + [goal]),
+        (lambda b: unsat_witness(sat_set, budget=b), sat_set),
     ]
     for call, formulas in calls:
         budget = syntax.monus_count(*formulas)

@@ -17,7 +17,6 @@ from clog.syntax import (
     Signature,
     Sup,
     Var,
-    abs_diff,
     atom_names,
     conj,
     disj,
