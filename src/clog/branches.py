@@ -10,10 +10,13 @@ are explored depth-first with the current constraint set checked for
 feasibility at every step: first against a witness point carried along the
 search, then (on a miss) with an exact LP, which simplex.py pivots in
 integers over one common denominator and turns into Fractions only at the
-answer.  A side that holds only on a face of the box is skipped when it
-comes second: the positive side of 0 - a holds only where a = 0, the zero
-side holds everywhere, and both take the same value on that face.  So the
-chain 0 - a0 - ... - a(k-1) is one cell, not 2^k.
+answer.  Each split's hyperplane is formed, keyed and signed once: the zero
+side is the positive side negated, key included, and one evaluation at the
+carried point tells which sides hold there.  A side that holds only on a
+face of the box is skipped when it comes second: the positive side of 0 - a
+holds only where a = 0, the zero side holds everywhere, and both take the
+same value on that face.  So the chain 0 - a0 - ... - a(k-1) is one cell,
+not 2^k.
 
 A term is given as a list of nodes in the order they were built, children
 before parents, each naming its children by position in the list; the
@@ -64,7 +67,18 @@ class Affine:
         return Affine(coeffs, self.const + other.const)
 
     def minus(self, other):
-        return self.plus(other.scale(-ONE))
+        coeffs = dict(self.coeffs)
+        for v, c in other.coeffs.items():
+            s = coeffs.get(v, ZERO) - c
+            if s == 0:
+                coeffs.pop(v, None)
+            else:
+                coeffs[v] = s
+        return Affine(coeffs, self.const - other.const)
+
+    def negated(self):
+        """-self; the same Fractions as scale(-ONE)."""
+        return Affine({v: -c for v, c in self.coeffs.items()}, -self.const)
 
     def evaluate(self, point):
         return sum(
@@ -212,30 +226,31 @@ class CellEnumerator:
                 return
             node = nodes[i]  # a PLMonus: zero where diff <= 0, else diff
             diff = values[node.left].minus(values[node.right])
-            neg = diff.scale(-ONE)
-            sides = ((neg, Affine.constant(0)), (diff, diff))
             if not diff.coeffs:  # constant difference: the side is forced
-                _, value = sides[0] if diff.const <= 0 else sides[1]
-                values[i] = value
+                values[i] = Affine.constant(0) if diff.const <= 0 else diff
                 yield from walk(i + 1, point)
                 return
-            keys = (neg.key(), diff.key())
+            # side 0 is diff <= 0 (value 0), side 1 diff >= 0 (value diff);
+            # guard and key of side 0 are side 1's negated
+            guards = (diff.negated(), diff)
+            ints, const = diff.key()
+            keys = ((tuple([(v, -x) for v, x in ints]), -const), (ints, const))
             for si in (0, 1):
                 if keys[si] in constraints:
                     # this hyperplane was already resolved the same way on
                     # this path; the opposite side would only retrace the
                     # boundary, where both sides take equal values anyway
-                    _, value = sides[si]
-                    values[i] = value
+                    values[i] = diff if si else Affine.constant(0)
                     yield from walk(i + 1, point)
                     return
-            order = (0, 1) if diff.evaluate(point) <= 0 else (1, 0)
+            d = diff.evaluate(point)
+            order = (0, 1) if d <= 0 else (1, 0)
             for si in order:
-                guard, value = sides[si]
+                guard = guards[si]
                 if si == order[1] and guard.box_max() <= 0:
                     break  # only a face: the first side holds on the whole box
                 key = keys[si]
-                if guard.evaluate(point) >= 0:
+                if (d >= 0) if si else (d <= 0):
                     newpoint = point
                 else:
                     trial = dict(constraints)
@@ -244,7 +259,7 @@ class CellEnumerator:
                     if newpoint is None:
                         continue
                 constraints[key] = guard
-                values[i] = value
+                values[i] = diff if si else Affine.constant(0)
                 yield from walk(i + 1, newpoint)
                 del constraints[key]
 

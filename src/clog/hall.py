@@ -146,7 +146,9 @@ def hall_condition(instance):
     violator is fixed one item at a time: the next item is the smallest j
     such that some violating T meets items 0..j in exactly the items
     chosen so far plus j, one cut per j; it stops when the chosen items
-    violate by themselves.  At most |S| + 1 cuts in all.
+    violate by themselves.  At most |S| + 1 cuts in all; none is run where
+    the chosen items' gain plus every remaining item's need is already <= 0,
+    as that bounds every violation in range.
     """
     n = len(instance)
     space = instance.space
@@ -159,23 +161,24 @@ def hall_condition(instance):
     unbounded = sum(need) + 1
 
     def surplus(forced, free):
-        """max of w_T - mu(C_T) over forced <= T <= forced + free."""
+        """max of w_T - mu(C_T) over forced <= T <= forced + free; without
+        a cut, a bound <= 0 on it where the forced items' gain plus every
+        free item's need is <= 0 (the callers ask only if it is > 0)."""
         covered = set()
         gain = 0
         for i in forced:
             covered |= events[i]
             gain += need[i]
-        gain -= sum(mass[a] for a in covered)
+        gain += sum([need[i] for i in free]) - sum(mass[a] for a in covered)
+        if gain <= 0:
+            return gain
         # node 0 is the source, 1 the sink; atoms are numbered as met
         atom_node = {}
         size = 2
         arcs = []
         for i in free:
-            if not need[i]:
-                continue
-            gain += need[i]
             rest = events[i] - covered
-            if not rest:  # costs nothing more: always worth taking
+            if not need[i] or not rest:  # no arc, or always worth taking
                 continue
             item = size
             size += 1

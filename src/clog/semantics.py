@@ -164,7 +164,7 @@ def _positive_point(enum, cell, objective, zeros=()):
     if objective.evaluate(point) > 0 and all(z.evaluate(point) == 0 for z in zeros):
         return point
     # the zeros are >= 0 on the cell already, so one inequality each pins them
-    extra = [z.scale(-ONE) for z in zeros]
+    extra = [z.negated() for z in zeros]
     got = enum.optimize_cell(cell, objective, extra=extra, stop_when_positive=True)
     return got[1] if got is not None and got[0] > 0 else None
 

@@ -1,0 +1,60 @@
+import random
+from fractions import Fraction
+
+import oracles
+from clog import semantics
+from clog.branches import Affine, CellEnumerator
+from clog.rationals import ONE
+
+
+def random_affine(rng, names):
+    coeffs = {}
+    for v in rng.sample(names, rng.randint(0, len(names))):
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        if c:
+            coeffs[v] = c
+    return Affine(coeffs, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+def test_affine_identities_the_walk_relies_on():
+    rng = random.Random(11)
+    names = ["p", "q", "r", "s"]
+    cancelled = 0
+    for _ in range(2000):
+        a = random_affine(rng, names)
+        b = random_affine(rng, names)
+        if rng.random() < 0.3:  # share some terms, so that they cancel
+            b = Affine({**b.coeffs, **dict(list(a.coeffs.items())[:2])},
+                       a.const if rng.random() < 0.5 else b.const)
+        got = a.minus(b)
+        want = a.plus(b.scale(-ONE))
+        assert got.coeffs == want.coeffs and got.const == want.const
+        assert 0 not in got.coeffs.values()
+        cancelled += not got.coeffs or got.const == 0
+        neg = a.negated()
+        assert neg.coeffs == a.scale(-ONE).coeffs
+        assert neg.const == a.scale(-ONE).const
+        ints, const = a.key()
+        assert neg.key() == (tuple((v, -x) for v, x in ints), -const)
+    assert cancelled > 100
+
+
+def test_every_cell_is_keyed_pointed_and_valued_correctly():
+    rng = random.Random(5)
+    cells = constraints = 0
+    for _ in range(300):
+        atoms = ["p%d" % i for i in range(rng.randint(2, 4))]
+        f = oracles.random_core_formula(rng, 5, atoms, monus_cap=6)
+        nodes, pos, names = semantics._traverse([f])
+        enum = CellEnumerator(names)
+        for cell in enum.iter_cells((semantics._ir(nodes, pos), [len(nodes) - 1])):
+            cells += 1
+            constraints += len(cell.constraints)
+            point = cell.point
+            assert all(0 <= point[v] <= 1 for v in names)
+            for key, aff in cell.constraints.items():
+                assert key == aff.key()
+                assert aff.evaluate(point) >= 0
+            value = cell.values[0].evaluate(point)
+            assert value == semantics.evaluate(f, point)
+    assert cells > 400 and constraints > 800
