@@ -92,13 +92,13 @@ class Affine:
         )
 
     def key(self):
-        """Canonical form of the constraint self >= 0 (integer, gcd-reduced)."""
-        lcm = math.lcm(
-            rat(self.const).denominator,
-            *(rat(c).denominator for c in self.coeffs.values()),
-        )
-        ints = {v: int(c * lcm) for v, c in self.coeffs.items()}
-        const = int(self.const * lcm)
+        """Canonical form of the constraint self >= 0: the coefficients and
+        constant times the lcm of their denominators, gcd-reduced.  Each
+        is cleared as numerator * (lcm // denominator), in integers only."""
+        const, coeffs = self.const, self.coeffs
+        lcm = math.lcm(const.denominator, *[c.denominator for c in coeffs.values()])
+        ints = {v: c.numerator * (lcm // c.denominator) for v, c in coeffs.items()}
+        const = const.numerator * (lcm // const.denominator)
         g = math.gcd(const, *ints.values())
         if g > 1:
             ints = {v: x // g for v, x in ints.items()}

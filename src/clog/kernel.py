@@ -1,10 +1,10 @@
 """Exhaustive dyadic-grid evaluation of formulas, exactly, in integers.
 
 A formula is evaluated at every point of the grid {0, 1/D, ..., 1}^n, once
-per distinct subformula: the positions of syntax.subformulas, children
-before parents.  All arithmetic is integer: values are scaled by S = D * 2^h
-where h is the number of half nodes in the formula's tree.  The value
-computed at a subformula whose tree contains k halvings is an integer
+per distinct subformula: the positions of the caller's syntax.subformulas,
+children before parents.  All arithmetic is integer: values are scaled by
+S = D * 2^h where h is the number of half nodes in the formula's tree.  The
+value computed at a subformula whose tree contains k halvings is an integer
 multiple of 2^(h-k) after scaling (induction over the tree: leaves are
 multiples of 2^h * (S/D-units), neg and - preserve the property, half
 consumes one factor of two), so the right shift of half is always exact and
@@ -32,7 +32,7 @@ positive value.
 """
 
 from .rationals import rat
-from .syntax import Atom, Const0, Half, Monus, Neg, subformulas
+from .syntax import Atom, Const0, Half, Monus, Neg
 
 # These limits decide which formulas the sweep takes (the rest go straight to
 # cell enumeration), and so which countermodel a refutation reports.  The
@@ -125,8 +125,9 @@ def _sweep(nodes, pos, index, last, n_atoms, denom, scale, first_positive):
     return best, decoded.index(best)
 
 
-def grid_max(formula, atom_order, denom, stop_at_positive=False):
-    """Exact maximum of the formula over the dyadic grid of denominator denom.
+def grid_max(term, atom_order, denom, stop_at_positive=False):
+    """Exact maximum over the dyadic grid of denominator denom of the
+    formula whose syntax.subformulas(formula) the caller passes as term.
 
     Returns (value, assignment) with exact rationals.  With
     stop_at_positive=True, returns at the first grid point with positive
@@ -135,7 +136,7 @@ def grid_max(formula, atom_order, denom, stop_at_positive=False):
     """
     if denom < 1:
         raise ValueError("denominator must be >= 1")
-    nodes, pos = subformulas(formula)
+    nodes, pos = term
     index = {name: i for i, name in enumerate(atom_order)}
     halves = []  # half nodes in each position's tree, up to _HALF_CAP
     stack = []  # each position's stack depth in postfix order

@@ -8,7 +8,7 @@ clog.branches); an integer grid pre-pass (clog.kernel) short-circuits most
 of is_valid's refutations with an exact counterexample before any LP runs.
 
 Each entry point traverses its formulas once, with syntax.subformulas, and
-reads the budget count, the atom order and the cell IR off that one result.
+reads the budget count, atom order, grid sweep and cell IR off that result.
 is_valid also abstracts repeated subformulas away and traverses the
 resulting skeleton once more.
 
@@ -190,7 +190,7 @@ def is_valid(formula, budget=None):
     nodes, pos, atoms = _traverse([formula], budget)
     # integer grid pre-pass: a positive grid point is already an exact refutation
     try:
-        value, point = grid_max(formula, atoms, denom=8, stop_at_positive=True)
+        value, point = grid_max((nodes, pos), atoms, denom=8, stop_at_positive=True)
         if value > 0:
             return False, point
     except KernelUnsupported:

@@ -24,7 +24,8 @@ parentheses):
 
 Identifiers are [a-zA-Z_][a-zA-Z0-9_]*; `neg half inf sup` are reserved.
 The printer emits only core nodes, fully parenthesized, and
-parse(print(f)) == f.
+parse(print(f)) == f.  The tokens are the strings one regex's matches
+capture, read by index; a token's offset is computed only for a ParseError.
 
 AST nodes are immutable `__slots__` classes (no dataclasses, whose import
 costs every command line run) with structural equality and hashing and a
@@ -34,10 +35,11 @@ constructor-style repr, none of which recurses.
 stack and identifies structurally equal subformulas by position, never by
 hashing a node (whose first hash walks its whole subtree); `fold`
 interprets formulas, `free_variables_at` gives each position's free
-variables and `rebuild` rewrites formulas over it.  These, the parser and the printer (which walks
-the tree, as large as its output) use no Python recursion, and both
-first-order evaluation routes in `randomisation` are passes over positions,
-so formulas of either kind may nest to any depth; only terms still recurse.
+variables and `rebuild` rewrites formulas over it.  These, the parser and
+the printer (which walks the tree, as large as its output) use no Python
+recursion, and both first-order evaluation routes in `randomisation` are
+passes over positions, so formulas of either kind may nest to any depth;
+only terms still recurse.
 """
 
 import re
@@ -544,191 +546,188 @@ class Signature:
             self._validate_term(a)
 
 
+def _is_name(word):
+    return word[:1].isalpha() or word[:1] == "_"
+
+
 def _is_identifier(s):
-    if not s or not (s[0].isalpha() or s[0] == "_"):
-        return False
-    return all(c.isalnum() or c == "_" for c in s)
+    return _is_name(s) and all(c.isalnum() or c == "_" for c in s)
 
 
 # --- tokenizer ----------------------------------------------------------------
 
-_T_LPAREN, _T_RPAREN, _T_BAR, _T_MINUS, _T_AND, _T_OR, _T_PLUS = range(7)
-_T_ZERO, _T_ONE, _T_DYADIC, _T_IDENT, _T_DOT, _T_COMMA, _T_END = range(7, 14)
-_SYMBOLS = {
-    "(": _T_LPAREN, ")": _T_RPAREN, "|": _T_BAR, "-": _T_MINUS, "/\\": _T_AND,
-    "\\/": _T_OR, "(+)": _T_PLUS, "0": _T_ZERO, "1": _T_ONE, ".": _T_DOT,
-    ",": _T_COMMA,
-}
+_SYMBOLS = frozenset(["(", ")", "|", "-", "/\\", "\\/", "(+)", "0", "1", ".", ","])
 # Whitespace, then one token: a symbol ('(+)' before '('), '2^-' and its
 # digits, a word, or any other character, which is an error.  \w also
-# matches digits such as '²', so _tokenize checks a word's first character.
-_TOKEN = re.compile(r"(\s*)(?:(\(\+\)|[()|\-.,01]|/\\|\\/)|2\^-([0-9]*)|(\w+)|(\S))")
+# matches digits such as '²', so a word is a name only if _is_name says so.
+# Where a token starts is found again only for an error (_Parser.fail).
+_TOKEN = re.compile(r"\s*(\(\+\)|[()|\-.,01]|/\\|\\/|2\^-[0-9]*|\w+|\S)")
 
 
 def _tokenize(text):
-    toks = []
-    i = 0  # where the next token starts
-    for space, symbol, digits, word, other in _TOKEN.findall(text):
-        i += len(space)
-        if symbol:
-            toks.append((_SYMBOLS[symbol], None, i))
-            i += len(symbol)
-        elif word:
-            if not (word[0].isalpha() or word[0] == "_"):
-                raise ParseError("unexpected character %r" % word[0], i)
-            # names repeat across formulas: one string object each
-            toks.append((_T_IDENT, sys.intern(word), i))
-            i += len(word)
-        elif other:
-            raise ParseError("unexpected character %r" % other, i)
-        else:
-            if not digits:
-                raise ParseError("expected digits after '2^-'", i + 3)
-            exponent = digits.lstrip("0") or "0"
-            if len(exponent) > 5 or int(exponent) > MAX_DYADIC_EXPONENT:
-                raise ParseError(
-                    "exponent of '2^-' above %d" % MAX_DYADIC_EXPONENT, i + 3
-                )
-            toks.append((_T_DYADIC, int(exponent), i))
-            i += 3 + len(digits)
-    toks.append((_T_END, None, len(text)))
-    return toks
+    """The token strings, then two empty strings for the end of the text:
+    an operator read at the end is followed by one more read, of its right
+    operand, which fails."""
+    return _TOKEN.findall(text) + ["", ""]
+
+
+def _token_error(tok):
+    """(message, offset from the token's start) if the token is an error
+    on its own, else None."""
+    if tok[:3] == "2^-":
+        if len(tok) == 3:
+            return "expected digits after '2^-'", 3
+        exponent = tok[3:].lstrip("0") or "0"
+        if len(exponent) > 5 or int(exponent) > MAX_DYADIC_EXPONENT:
+            return "exponent of '2^-' above %d" % MAX_DYADIC_EXPONENT, 3
+    elif tok not in _SYMBOLS and not _is_name(tok):
+        return "unexpected character %r" % tok[0], 0
+    return None
+
+
+_OPENERS = {"neg": Neg, "half": Half, "(": "(", "|": "|"}
 
 
 class _Parser:
+    """Reads a formula off the token strings by index."""
+
     def __init__(self, text, first_order):
+        self.text = text
         self.toks = _tokenize(text)
-        self.pos = 0
         self.first_order = first_order
         self.variables = {}  # name -> the one Var node of that name here
 
-    def peek(self):
-        return self.toks[self.pos]
+    def fail(self, message, k):
+        """Raise the ParseError of token k, unless a token is an error on
+        its own: then that of the first such, as a tokenizer would meet it."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        for j, tok in enumerate(self.toks[:len(starts)]):
+            error = _token_error(tok)
+            if error is not None:
+                raise ParseError(error[0], starts[j] + error[1])
+        raise ParseError(message, starts[k] if k < len(starts) else len(self.text))
 
-    def next(self):
-        """The next token; the end token repeats once it is reached."""
-        t = self.toks[self.pos]
-        if t[0] != _T_END:
-            self.pos += 1
-        return t
-
-    def expect(self, kind, what):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError("expected %s" % what, t[2])
-        return t
-
-    def formula(self):
-        """One formula.  What still waits for a subformula (a prefix
-        connective or quantifier, or a bracket whose left operand is being
-        read) sits on an explicit stack, so nesting depth is unbounded."""
+    def parse(self):
+        """The formula the tokens spell.  What still waits for a subformula
+        (a prefix connective or quantifier, an open bracket or bar, or an
+        operator whose left operand is read) sits on an explicit stack, so
+        nesting depth is unbounded."""
+        toks = self.toks
+        i = 0
         waiting = []
         while True:
-            kind, value, at = self.next()
-            if kind == _T_IDENT and value in KEYWORDS:
-                if value == "neg" or value == "half":
-                    waiting.append(Neg if value == "neg" else Half)
-                    continue
+            tok = toks[i]
+            i += 1
+            opener = _OPENERS.get(tok)
+            if opener is not None:
+                waiting.append(opener)
+                continue
+            if tok == "0":
+                node = Const0()
+            elif tok == "1":
+                node = one()
+            elif tok == "inf" or tok == "sup":
                 if not self.first_order:
-                    raise ParseError("quantifier %r not allowed here" % value, at)
-                vtok = self.expect(_T_IDENT, "a variable name")
-                if vtok[1] in KEYWORDS:
-                    raise ParseError("reserved word %r cannot be a variable" % vtok[1], vtok[2])
-                self.expect(_T_DOT, "'.'")
-                q = Inf if value == "inf" else Sup
-                waiting.append(lambda body, q=q, var=vtok[1]: q(var, body))
+                    self.fail("quantifier %r not allowed here" % tok, i - 1)
+                var = toks[i]
+                if not _is_name(var):
+                    self.fail("expected a variable name", i)
+                if var in KEYWORDS:
+                    self.fail("reserved word %r cannot be a variable" % var, i)
+                if toks[i + 1] != ".":
+                    self.fail("expected '.'", i + 1)
+                i += 2
+                q = Inf if tok == "inf" else Sup
+                waiting.append(lambda body, q=q, var=sys.intern(var): q(var, body))
                 continue
-            if kind == _T_LPAREN or kind == _T_BAR:
-                waiting.append(kind)
-                continue
-            node = self.leaf(kind, value, at)
+            elif _is_name(tok):
+                # names repeat across formulas: one string object each
+                if self.first_order:
+                    if toks[i] != "(":
+                        self.fail("expected '(' (predicates take arguments here)", i)
+                    args, i = self.termlist(i + 1)
+                    node = Pred(sys.intern(tok), tuple(args))
+                else:
+                    node = Atom(sys.intern(tok))
+            elif tok[:3] == "2^-" and _token_error(tok) is None:
+                node = dyadic(int(tok[3:].lstrip("0") or "0"))
+            else:
+                self.fail("expected a formula", i - 1)
             while waiting:  # close what this node completes
                 w = waiting.pop()
-                if w == _T_LPAREN:
-                    op = self.next()
-                    waiting.append(
-                        lambda right, left=node, op=op: self.binary(left, op, right))
+                if type(w) is tuple:  # (left operand, operator index or None: bars)
+                    left, k = w
+                    if k is None:
+                        if toks[i] != "|":
+                            self.fail("expected closing '|'", i)
+                        node = abs_diff(left, node)
+                    else:
+                        if toks[i] != ")":
+                            self.fail("expected ')'", i)
+                        build = _BINARY.get(toks[k])
+                        if build is None:
+                            self.fail("expected a binary operator", k)
+                        node = build(left, node)
+                    i += 1
+                elif w == "(":
+                    waiting.append((node, i))
+                    i += 1
                     break
-                if w == _T_BAR:
-                    self.expect(_T_MINUS, "'-'")
-                    waiting.append(lambda right, left=node: self.bars(left, right))
+                elif w == "|":
+                    if toks[i] != "-":
+                        self.fail("expected '-'", i)
+                    waiting.append((node, None))
+                    i += 1
                     break
-                node = w(node)
+                else:
+                    node = w(node)
             else:
+                if toks[i]:
+                    self.fail("trailing input", i)
                 return node
 
-    def leaf(self, kind, value, at):
-        """A formula with no subformula to read, starting at this token."""
-        if kind == _T_ZERO:
-            return Const0()
-        if kind == _T_ONE:
-            return one()
-        if kind == _T_DYADIC:
-            return dyadic(value)
-        if kind == _T_IDENT:
-            if self.first_order:
-                self.expect(_T_LPAREN, "'(' (predicates take arguments here)")
-                return Pred(value, tuple(self.termlist()))
-            return Atom(value)
-        raise ParseError("expected a formula", at)
-
-    def binary(self, left, op, right):
-        self.expect(_T_RPAREN, "')'")
-        build = _BINARY.get(op[0])
-        if build is None:
-            raise ParseError("expected a binary operator", op[2])
-        return build(left, right)
-
-    def bars(self, left, right):
-        self.expect(_T_BAR, "closing '|'")
-        return abs_diff(left, right)
-
-    def termlist(self):
-        """Arguments up to and including the closing paren."""
+    def termlist(self, i):
+        """Arguments from token i on, up to and including the closing
+        paren, and the index after them."""
         args = []
-        if self.peek()[0] == _T_RPAREN:
-            self.next()
-            return args
+        if self.toks[i] == ")":
+            return args, i + 1
         while True:
-            args.append(self.term())
-            kind, _, at = self.next()
-            if kind == _T_RPAREN:
-                return args
-            if kind != _T_COMMA:
-                raise ParseError("expected ',' or ')'", at)
+            term, i = self.term(i)
+            args.append(term)
+            if self.toks[i] == ")":
+                return args, i + 1
+            if self.toks[i] != ",":
+                self.fail("expected ',' or ')'", i)
+            i += 1
 
-    def term(self):
-        tok = self.expect(_T_IDENT, "a term")
-        if tok[1] in KEYWORDS:
-            raise ParseError("reserved word %r cannot start a term" % tok[1], tok[2])
-        if self.peek()[0] == _T_LPAREN:
-            self.next()
-            return Apply(tok[1], tuple(self.termlist()))
-        var = self.variables.get(tok[1])
+    def term(self, i):
+        name = self.toks[i]
+        if not _is_name(name):
+            self.fail("expected a term", i)
+        if name in KEYWORDS:
+            self.fail("reserved word %r cannot start a term" % name, i)
+        name = sys.intern(name)
+        if self.toks[i + 1] == "(":
+            args, i = self.termlist(i + 2)
+            return Apply(name, tuple(args)), i
+        var = self.variables.get(name)
         if var is None:
-            var = self.variables[tok[1]] = Var(tok[1])
-        return var
-
-    def finish(self, node):
-        t = self.peek()
-        if t[0] != _T_END:
-            raise ParseError("trailing input", t[2])
-        return node
+            var = self.variables[name] = Var(name)
+        return var, i + 1
 
 
-_BINARY = {_T_MINUS: Monus, _T_AND: conj, _T_OR: disj, _T_PLUS: truncated_add}
+_BINARY = {"-": Monus, "/\\": conj, "\\/": disj, "(+)": truncated_add}
 
 
 def parse_formula(text):
     """Parse a propositional formula (atoms are bare identifiers)."""
-    p = _Parser(text, first_order=False)
-    return p.finish(p.formula())
+    return _Parser(text, first_order=False).parse()
 
 
 def parse_lformula(text):
     """Parse a first-order formula (identifiers must be applied predicates)."""
-    p = _Parser(text, first_order=True)
-    return p.finish(p.formula())
+    return _Parser(text, first_order=True).parse()
 
 
 # --- printer --------------------------------------------------------------------

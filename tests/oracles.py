@@ -6,11 +6,14 @@ common denominator where every grid point is swept).  The package's
 decision procedures (branch enumeration + rational LP, the integer grid
 sweep) must agree with these on the frozen fixtures; nothing here imports
 the modules under test, except that witness_by_loop decides each of its
-candidates with semantics.is_valid to judge the one-search witness.
+candidates with semantics.is_valid to judge the one-search witness.  The
+parser judge, parse_tracking_offsets, builds its formulas with syntax's
+node classes and sugar and raises syntax.ParseError.
 """
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from clog import syntax
@@ -432,3 +435,176 @@ def pointwise_fractions(phi, env, family, ranging=frozenset()):
             tables.append(table)
         roots.append(tables[-1])
     return names[-1], roots
+
+
+# --- the parser as it stood with position-tracking tokens ----------------------
+
+_T_LPAREN, _T_RPAREN, _T_BAR, _T_MINUS, _T_AND, _T_OR, _T_PLUS = range(7)
+_T_ZERO, _T_ONE, _T_DYADIC, _T_IDENT, _T_DOT, _T_COMMA, _T_END = range(7, 14)
+_SYMBOLS = {
+    "(": _T_LPAREN, ")": _T_RPAREN, "|": _T_BAR, "-": _T_MINUS, "/\\": _T_AND,
+    "\\/": _T_OR, "(+)": _T_PLUS, "0": _T_ZERO, "1": _T_ONE, ".": _T_DOT,
+    ",": _T_COMMA,
+}
+_TOKEN = re.compile(r"(\s*)(?:(\(\+\)|[()|\-.,01]|/\\|\\/)|2\^-([0-9]*)|(\w+)|(\S))")
+
+
+def _tokenize(text):
+    """(kind, value, offset) tokens, each offset counted as the text is
+    read, and the end token; the first token that is an error on its own
+    raises before any parsing."""
+    toks = []
+    i = 0  # where the next token starts
+    for space, symbol, digits, word, other in _TOKEN.findall(text):
+        i += len(space)
+        if symbol:
+            toks.append((_SYMBOLS[symbol], None, i))
+            i += len(symbol)
+        elif word:
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise syntax.ParseError("unexpected character %r" % word[0], i)
+            toks.append((_T_IDENT, word, i))
+            i += len(word)
+        elif other:
+            raise syntax.ParseError("unexpected character %r" % other, i)
+        else:
+            if not digits:
+                raise syntax.ParseError("expected digits after '2^-'", i + 3)
+            exponent = digits.lstrip("0") or "0"
+            if len(exponent) > 5 or int(exponent) > syntax.MAX_DYADIC_EXPONENT:
+                raise syntax.ParseError(
+                    "exponent of '2^-' above %d" % syntax.MAX_DYADIC_EXPONENT, i + 3
+                )
+            toks.append((_T_DYADIC, int(exponent), i))
+            i += 3 + len(digits)
+    toks.append((_T_END, None, len(text)))
+    return toks
+
+
+class _Parser:
+    def __init__(self, text, first_order):
+        self.toks = _tokenize(text)
+        self.pos = 0
+        self.first_order = first_order
+        self.variables = {}  # name -> the one Var node of that name here
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        """The next token; the end token repeats once it is reached."""
+        t = self.toks[self.pos]
+        if t[0] != _T_END:
+            self.pos += 1
+        return t
+
+    def expect(self, kind, what):
+        t = self.next()
+        if t[0] != kind:
+            raise syntax.ParseError("expected %s" % what, t[2])
+        return t
+
+    def formula(self):
+        waiting = []
+        while True:
+            kind, value, at = self.next()
+            if kind == _T_IDENT and value in syntax.KEYWORDS:
+                if value == "neg" or value == "half":
+                    waiting.append(syntax.Neg if value == "neg" else syntax.Half)
+                    continue
+                if not self.first_order:
+                    raise syntax.ParseError(
+                        "quantifier %r not allowed here" % value, at)
+                vtok = self.expect(_T_IDENT, "a variable name")
+                if vtok[1] in syntax.KEYWORDS:
+                    raise syntax.ParseError(
+                        "reserved word %r cannot be a variable" % vtok[1], vtok[2])
+                self.expect(_T_DOT, "'.'")
+                q = syntax.Inf if value == "inf" else syntax.Sup
+                waiting.append(lambda body, q=q, var=vtok[1]: q(var, body))
+                continue
+            if kind == _T_LPAREN or kind == _T_BAR:
+                waiting.append(kind)
+                continue
+            node = self.leaf(kind, value, at)
+            while waiting:  # close what this node completes
+                w = waiting.pop()
+                if w == _T_LPAREN:
+                    op = self.next()
+                    waiting.append(
+                        lambda right, left=node, op=op: self.binary(left, op, right))
+                    break
+                if w == _T_BAR:
+                    self.expect(_T_MINUS, "'-'")
+                    waiting.append(lambda right, left=node: self.bars(left, right))
+                    break
+                node = w(node)
+            else:
+                return node
+
+    def leaf(self, kind, value, at):
+        if kind == _T_ZERO:
+            return syntax.Const0()
+        if kind == _T_ONE:
+            return syntax.one()
+        if kind == _T_DYADIC:
+            return syntax.dyadic(value)
+        if kind == _T_IDENT:
+            if self.first_order:
+                self.expect(_T_LPAREN, "'(' (predicates take arguments here)")
+                return syntax.Pred(value, tuple(self.termlist()))
+            return syntax.Atom(value)
+        raise syntax.ParseError("expected a formula", at)
+
+    def binary(self, left, op, right):
+        self.expect(_T_RPAREN, "')'")
+        build = _BINARY.get(op[0])
+        if build is None:
+            raise syntax.ParseError("expected a binary operator", op[2])
+        return build(left, right)
+
+    def bars(self, left, right):
+        self.expect(_T_BAR, "closing '|'")
+        return syntax.abs_diff(left, right)
+
+    def termlist(self):
+        args = []
+        if self.peek()[0] == _T_RPAREN:
+            self.next()
+            return args
+        while True:
+            args.append(self.term())
+            kind, _, at = self.next()
+            if kind == _T_RPAREN:
+                return args
+            if kind != _T_COMMA:
+                raise syntax.ParseError("expected ',' or ')'", at)
+
+    def term(self):
+        tok = self.expect(_T_IDENT, "a term")
+        if tok[1] in syntax.KEYWORDS:
+            raise syntax.ParseError(
+                "reserved word %r cannot start a term" % tok[1], tok[2])
+        if self.peek()[0] == _T_LPAREN:
+            self.next()
+            return syntax.Apply(tok[1], tuple(self.termlist()))
+        var = self.variables.get(tok[1])
+        if var is None:
+            var = self.variables[tok[1]] = syntax.Var(tok[1])
+        return var
+
+
+_BINARY = {_T_MINUS: syntax.Monus, _T_AND: syntax.conj, _T_OR: syntax.disj,
+           _T_PLUS: syntax.truncated_add}
+
+
+def parse_tracking_offsets(text, first_order=False):
+    """The formula syntax.parse_formula (or, first_order, parse_lformula)
+    must return for the text, or the ParseError it must raise: the parser
+    whose tokens carry their offsets, all tokenized before any is parsed."""
+    p = _Parser(text, first_order)
+    node = p.formula()
+    t = p.peek()
+    if t[0] != _T_END:
+        raise syntax.ParseError("trailing input", t[2])
+    return node

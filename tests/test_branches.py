@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,10 +17,24 @@ def random_affine(rng, names):
     return Affine(coeffs, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
 
 
+def fraction_key(a):
+    """Affine.key as Fraction products: the lcm of the denominators, each
+    number times it, then the gcd reduction."""
+    lcm = math.lcm(Fraction(a.const).denominator,
+                   *(Fraction(c).denominator for c in a.coeffs.values()))
+    ints = {v: int(c * lcm) for v, c in a.coeffs.items()}
+    const = int(a.const * lcm)
+    g = math.gcd(const, *ints.values())
+    if g > 1:
+        ints = {v: x // g for v, x in ints.items()}
+        const //= g
+    return (tuple(sorted(ints.items())), const)
+
+
 def test_affine_identities_the_walk_relies_on():
     rng = random.Random(11)
     names = ["p", "q", "r", "s"]
-    cancelled = 0
+    cancelled = constant_only = 0
     for _ in range(2000):
         a = random_affine(rng, names)
         b = random_affine(rng, names)
@@ -36,7 +51,12 @@ def test_affine_identities_the_walk_relies_on():
         assert neg.const == a.scale(-ONE).const
         ints, const = a.key()
         assert neg.key() == (tuple((v, -x) for v, x in ints), -const)
-    assert cancelled > 100
+        # the integer key is the Fraction one, also with no coefficient or
+        # with an int constant
+        for c in (a, b, got, Affine({}, a.const), Affine(a.coeffs, a.const.numerator)):
+            assert c.key() == fraction_key(c)
+            constant_only += not c.coeffs
+    assert cancelled > 100 and constant_only > 2000
 
 
 def test_every_cell_is_keyed_pointed_and_valued_correctly():

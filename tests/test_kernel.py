@@ -71,33 +71,33 @@ def test_grid_max_matches_fraction_oracle():
         f = F(text)
         cases += [(f, syntax.atom_names(f), denom) for denom in (3, 4, 5)]
     for f, atoms, denom in cases:
-        value, point = grid_max(f, atoms, denom)
+        value, point = grid_max(syntax.subformulas(f), atoms, denom)
         want_value, want_point = oracles.grid_sup_fractions(f, atoms, denom)
         assert value == want_value, (f, denom)
         assert point == want_point, (f, denom)  # same first-maximum tie break
         # stop_at_positive: the first positive point in odometer order
-        got = grid_max(f, atoms, denom, stop_at_positive=True)
+        got = grid_max(syntax.subformulas(f), atoms, denom, stop_at_positive=True)
         assert got == oracles.grid_first_positive(f, atoms, denom), (f, denom)
 
 
 def test_halving_is_exact_on_odd_denominators():
     f = F("half half half p")
-    value, point = grid_max(f, ["p"], 3)
+    value, point = grid_max(syntax.subformulas(f), ["p"], 3)
     assert value == rat(1, 8)
     assert point == {"p": rat(1)}
     # spot value at an interior point via the positive-stop scan
-    value, point = grid_max(f, ["p"], 3, stop_at_positive=True)
+    value, point = grid_max(syntax.subformulas(f), ["p"], 3, stop_at_positive=True)
     assert point == {"p": rat(1, 3)}
     assert value == rat(1, 24)
     assert evaluate(f, point) == value
 
 
 def test_stop_at_positive_returns_first_positive_point():
-    value, point = grid_max(F("p"), ["p"], 4, stop_at_positive=True)
+    value, point = grid_max(syntax.subformulas(F("p")), ["p"], 4, stop_at_positive=True)
     assert point == {"p": rat(1, 4)}
     assert value == rat(1, 4)
     # a valid formula has no positive point; the zero maximum comes back
-    value, point = grid_max(F("((p - q) - p)"), ["p", "q"], 4,
+    value, point = grid_max(syntax.subformulas(F("((p - q) - p)")), ["p", "q"], 4,
                             stop_at_positive=True)
     assert value == 0
 
@@ -108,27 +108,29 @@ def test_kernel_guards():
         a = syntax.Atom("a%02d" % i)
         many = a if many is None else syntax.Monus(many, a)
     with pytest.raises(KernelUnsupported):
-        grid_max(many, syntax.atom_names(many), 2)
+        grid_max(syntax.subformulas(many), syntax.atom_names(many), 2)
     with pytest.raises(KernelUnsupported):
-        grid_max(F("(p - q)"), ["p", "q"], 2000)  # too many grid points
+        # too many grid points
+        grid_max(syntax.subformulas(F("(p - q)")), ["p", "q"], 2000)
     deep = syntax.Atom("p")
     for _ in range(70):
         deep = syntax.Half(deep)
     with pytest.raises(KernelUnsupported):
-        grid_max(deep, ["p"], 3)  # scale beyond 2^61
+        grid_max(syntax.subformulas(deep), ["p"], 3)  # scale beyond 2^61
     halves = F("half " * 31 + "p")
     with pytest.raises(KernelUnsupported):  # 62 halvings in the tree, 31 on a path
-        grid_max(syntax.Monus(halves, halves), ["p"], 1)
-    grid_max(syntax.Monus(halves, halves.body), ["p"], 1)  # 61: scale 2^61
+        grid_max(syntax.subformulas(syntax.Monus(halves, halves)), ["p"], 1)
+    # 61: scale 2^61
+    grid_max(syntax.subformulas(syntax.Monus(halves, halves.body)), ["p"], 1)
     chain = syntax.Atom("p")
     for depth in range(1, 257):  # a postfix evaluation stacks depth + 1 values
         chain = syntax.Monus(syntax.Atom("p"), chain)
         if depth == 255:
-            grid_max(chain, ["p"], 2)
+            grid_max(syntax.subformulas(chain), ["p"], 2)
     with pytest.raises(KernelUnsupported):
-        grid_max(chain, ["p"], 2)
+        grid_max(syntax.subformulas(chain), ["p"], 2)
     with pytest.raises(ValueError):
-        grid_max(F("p"), ["p"], 0)
+        grid_max(syntax.subformulas(F("p")), ["p"], 0)
     # not propositional over the atoms: the error names the tree's first
     # offending node, left to right and outermost first
     z, pred = syntax.Atom("z"), syntax.parse_lformula("P(x)")
@@ -138,7 +140,7 @@ def test_kernel_guards():
         (syntax.Neg(syntax.Inf("x", syntax.Monus(z, z))), TypeError, "formula: Inf"),
     ]:
         with pytest.raises(error, match=text):
-            grid_max(f, ["p"], 3)
+            grid_max(syntax.subformulas(f), ["p"], 3)
 
 
 def test_shared_subformulas_are_swept_once(capsys, monkeypatch):
@@ -153,9 +155,11 @@ def test_shared_subformulas_are_swept_once(capsys, monkeypatch):
     for denom in (3, 8):
         for stop in (False, True):
             started = time.monotonic()
-            got = grid_max(deep, ["p", "q"], denom, stop_at_positive=stop)
+            got = grid_max(syntax.subformulas(deep), ["p", "q"], denom,
+                           stop_at_positive=stop)
             assert time.monotonic() - started < 1
-            assert got == grid_max(shallow, ["p", "q"], denom, stop_at_positive=stop)
+            assert got == grid_max(syntax.subformulas(shallow), ["p", "q"], denom,
+                                   stop_at_positive=stop)
 
     monkeypatch.setenv("CLOG_BRANCH_BUDGET", "0")
     lines = []

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -341,10 +342,15 @@ def test_is_valid_traverses_formula_and_skeleton_once(monkeypatch):
         calls.append(roots)
         return subformulas(*roots)
 
-    monkeypatch.setattr(syntax, "subformulas", counting)
+    # under every name a clog module holds it by, so a traversal through an
+    # imported name counts too
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "clog" and (
+                getattr(module, "subformulas", None) is subformulas):
+            monkeypatch.setattr(module, "subformulas", counting)
     assert is_valid(f, budget=24) == (True, None)
-    # the formula once and its skeleton once; kernel.grid_max traverses
-    # through its own name, which is not counted here
+    # the formula once, for the budget, the grid sweep and the cells, and
+    # its skeleton once
     assert len(calls) == 2
     assert calls[0] == (f,)
 
@@ -359,7 +365,7 @@ def test_abstraction_atoms_are_fresh():
         pad = syntax.Monus(pad, Atom("a%d" % i))
     f = syntax.Monus(f, pad)
     with pytest.raises(KernelUnsupported):
-        grid_max(f, syntax.atom_names(f), 8)
+        grid_max(syntax.subformulas(f), syntax.atom_names(f), 8)
     ok, point = is_valid(f)
     assert not ok
     assert evaluate(f, point) > 0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from clog.syntax import (
     Apply,
     Atom,
@@ -148,6 +149,79 @@ def test_parse_errors():
         parse_lformula("inf neg. P(neg)")
 
 
+def _sugar_text(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["0", "1", "p", "q", "r2", "_x", "2^-%d" % rng.randrange(4)])
+    kind = rng.randrange(6)
+    if kind < 2:
+        return ("neg ", "half ")[kind] + _sugar_text(rng, depth - 1)
+    a, b = _sugar_text(rng, depth - 1), _sugar_text(rng, depth - 1)
+    if kind == 2:
+        return "|%s - %s|" % (a, b)
+    return "(%s %s %s)" % (a, rng.choice(["-", "/\\", "\\/", "(+)"]), b)
+
+
+def _term_text(rng, depth):
+    if depth == 0 or rng.random() < 0.5:
+        return rng.choice(["x", "y", "z", "c()"])
+    return "f(%s, %s)" % (_term_text(rng, depth - 1), _term_text(rng, depth - 1))
+
+
+def _first_order_text(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([
+            "P(%s)" % _term_text(rng, 2),
+            "d(%s, %s)" % (_term_text(rng, 2), _term_text(rng, 1)),
+            "Q()", "0", "2^-1",
+        ])
+    kind = rng.randrange(5)
+    body = _first_order_text(rng, depth - 1)
+    if kind < 2:
+        return "%s %s. %s" % (("inf", "sup")[kind], rng.choice("xyz"), body)
+    if kind == 2:
+        return "neg " + body
+    return "(%s %s %s)" % (body, rng.choice(["-", "/\\"]),
+                           _first_order_text(rng, depth - 1))
+
+
+def test_parser_matches_the_offset_tracking_judge():
+    """Both parsers give the judge's formula, or its ParseError with the
+    same message and offset, on well-formed texts and on each with one
+    character deleted, doubled or replaced."""
+    rng = random.Random(13)
+    texts = ["2^-10000", "(p - 2^-10001)", "inf neg. P(x)", "sup x. inf half. Q()",
+             "(p - 2^-%s1)" % ("0" * 5000)]  # more digits than int() reads
+    for _ in range(500):
+        f = oracles.random_core_formula(rng, rng.randrange(1, 6), ["p", "q", "r"])
+        texts.append(print_formula(f))
+        texts.append(_sugar_text(rng, rng.randrange(1, 5)))
+        texts.append(_first_order_text(rng, rng.randrange(1, 5)))
+    for text in list(texts):
+        i = rng.randrange(len(text))
+        how = rng.randrange(3)
+        if how == 0:
+            texts.append(text[:i] + text[i + 1:])
+        elif how == 1:
+            texts.append(text[:i] + text[i] + text[i:])
+        else:
+            texts.append(text[:i] + rng.choice("²٣#\t()|-.") + text[i + 1:])
+    assert len(texts) == 3010
+    refused = 0
+    for text in texts:
+        for first_order, parse in ((False, parse_formula), (True, parse_lformula)):
+            try:
+                want = oracles.parse_tracking_offsets(text, first_order)
+            except ParseError as e:
+                want = (str(e), e.position)
+            try:
+                got = parse(text)
+            except ParseError as e:
+                got = (str(e), e.position)
+            assert got == want, (text, first_order)
+            refused += type(want) is tuple
+    assert 2000 < refused < 4000
+
+
 def test_lformula_roundtrip():
     f = parse_lformula("inf x. sup y. (P(x) - d(x, f(y, c())))")
     assert f == Inf(
@@ -228,7 +302,7 @@ def test_walkers_never_hash_or_compare_nodes(monkeypatch):
             semantics.entails_semantic([A("half p")], A("(q - p)")),
             semantics.evaluate(shared, {"p": rat(3, 4), "q": rat(1, 5)}),
             rv.rv_eval(shared, env, sp).values,
-            semantics.grid_max(a2, ["p", "q"], 4),
+            semantics.grid_max(subformulas(a2), ["p", "q"], 4),
             print_formula(substitute(shared, {"p": A("neg q")})),
             [print_formula(f) for f in elim.premises + [elim.goal]],
             [print_formula(f) for f in elim.fresh.values()],
