@@ -18,6 +18,12 @@ holds only where a = 0, the zero side holds everywhere, and both take the
 same value on that face.  So the chain 0 - a0 - ... - a(k-1) is one cell,
 not 2^k.
 
+The depth-first search is one loop over an explicit stack of frames, one
+per constraint on the current path: the key to delete on the way back and
+the split's other side, if it is still to be tried.  No generator is built
+per split and no cell climbs back through nested ones, so a term may hold
+any number of splits and a search leaves no reference cycle behind.
+
 A term is given as a list of nodes in the order they were built, children
 before parents, each naming its children by position in the list; the
 search walks that list as it is.  A shared subterm is one node, so a
@@ -56,12 +62,15 @@ class Affine:
             return Affine({}, ZERO)
         return Affine({v: k * c for v, c in self.coeffs.items()}, k * self.const)
 
+    # a coefficient that self lacks is copied (or negated), not added to 0:
+    # the same value, one Fraction fewer
     def plus(self, other):
         coeffs = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            s = coeffs.get(v, ZERO) + c
-            if s == 0:
-                coeffs.pop(v, None)
+            if v not in coeffs:
+                coeffs[v] = c
+            elif (s := coeffs[v] + c) == 0:
+                del coeffs[v]
             else:
                 coeffs[v] = s
         return Affine(coeffs, self.const + other.const)
@@ -69,9 +78,10 @@ class Affine:
     def minus(self, other):
         coeffs = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            s = coeffs.get(v, ZERO) - c
-            if s == 0:
-                coeffs.pop(v, None)
+            if v not in coeffs:
+                coeffs[v] = -c
+            elif (s := coeffs[v] - c) == 0:
+                del coeffs[v]
             else:
                 coeffs[v] = s
         return Affine(coeffs, self.const - other.const)
@@ -200,12 +210,22 @@ class CellEnumerator:
         nonempty).  Cells are closed, so they overlap on boundaries; over
         each cell the value affines agree with the terms everywhere,
         boundaries included.
+
+        The search is one loop over an explicit stack, so a term may hold
+        any number of splits.  Going forward, each split that adds a
+        constraint takes the side holding at the carried point and pushes a
+        frame: the key it added, and the other side with the point carried
+        in, or None once that side is taken too.  After a cell, the walk
+        pops frames, deleting their keys, down to the deepest split whose
+        other side is feasible, and goes forward again from there.
         """
         nodes, roots = term
         values = [None] * len(nodes)  # each Affine under the current sides
         constraints = {}  # key -> Affine (each meaning affine >= 0)
-
-        def walk(i, point):
+        zero = Affine.constant(0)
+        stack = []  # (key to delete, other side or None), one per split added
+        i, point = 0, dict(self._center)
+        while True:
             while i < len(nodes):
                 n = nodes[i]
                 t = type(n)
@@ -216,54 +236,58 @@ class CellEnumerator:
                     for k, j in n.terms:
                         total = total.plus(values[j].scale(rat(k)))
                     values[i] = total
-                else:
-                    break
+                else:  # a PLMonus: zero where diff <= 0, else diff
+                    diff = values[n.left].minus(values[n.right])
+                    if not diff.coeffs:  # constant difference: the side is forced
+                        values[i] = zero if diff.const <= 0 else diff
+                        i += 1
+                        continue
+                    # side 0 is diff <= 0 (value 0), side 1 diff >= 0 (value
+                    # diff); the key of side 0 is side 1's negated
+                    ints, const = diff.key()
+                    key1 = (ints, const)
+                    key0 = (tuple([(v, -x) for v, x in ints]), -const)
+                    # this hyperplane may already be resolved on this path;
+                    # the opposite side would only retrace the boundary,
+                    # where both sides take equal values
+                    if key0 in constraints:
+                        values[i] = zero
+                    elif key1 in constraints:
+                        values[i] = diff
+                    else:  # first the side holding at the carried point
+                        d = diff.evaluate(point)
+                        if d <= 0:
+                            constraints[key0] = diff.negated()
+                            values[i] = zero
+                            stack.append((key0, (i, diff, 1, key1, point, d)))
+                        else:
+                            constraints[key1] = diff
+                            values[i] = diff
+                            stack.append((key1, (i, diff, 0, key0, point, d)))
                 i += 1
-            else:
-                yield Cell(
-                    dict(constraints), tuple(values[r] for r in roots), point
-                )
-                return
-            node = nodes[i]  # a PLMonus: zero where diff <= 0, else diff
-            diff = values[node.left].minus(values[node.right])
-            if not diff.coeffs:  # constant difference: the side is forced
-                values[i] = Affine.constant(0) if diff.const <= 0 else diff
-                yield from walk(i + 1, point)
-                return
-            # side 0 is diff <= 0 (value 0), side 1 diff >= 0 (value diff);
-            # guard and key of side 0 are side 1's negated
-            guards = (diff.negated(), diff)
-            ints, const = diff.key()
-            keys = ((tuple([(v, -x) for v, x in ints]), -const), (ints, const))
-            for si in (0, 1):
-                if keys[si] in constraints:
-                    # this hyperplane was already resolved the same way on
-                    # this path; the opposite side would only retrace the
-                    # boundary, where both sides take equal values anyway
-                    values[i] = diff if si else Affine.constant(0)
-                    yield from walk(i + 1, point)
-                    return
-            d = diff.evaluate(point)
-            order = (0, 1) if d <= 0 else (1, 0)
-            for si in order:
-                guard = guards[si]
-                if si == order[1] and guard.box_max() <= 0:
-                    break  # only a face: the first side holds on the whole box
-                key = keys[si]
-                if (d >= 0) if si else (d <= 0):
-                    newpoint = point
-                else:
+            yield Cell(dict(constraints), tuple(values[r] for r in roots), point)
+            while stack:
+                key, other = stack.pop()
+                del constraints[key]
+                if other is None:
+                    continue
+                i, diff, si, key, point, d = other
+                guard = diff if si else diff.negated()
+                if guard.box_max() <= 0:
+                    continue  # only a face: the first side holds on the whole box
+                if d != 0:  # the carried point is off this side
                     trial = dict(constraints)
                     trial[key] = guard
-                    newpoint = self.feasible_point(trial)
-                    if newpoint is None:
+                    point = self.feasible_point(trial)
+                    if point is None:
                         continue
                 constraints[key] = guard
-                values[i] = diff if si else Affine.constant(0)
-                yield from walk(i + 1, newpoint)
-                del constraints[key]
-
-        yield from walk(0, dict(self._center))
+                values[i] = diff if si else zero
+                stack.append((key, None))
+                i += 1
+                break
+            else:
+                return
 
     # ---- optimisation ----------------------------------------------------
 

@@ -6,7 +6,9 @@ common denominator where every grid point is swept).  The package's
 decision procedures (branch enumeration + rational LP, the integer grid
 sweep) must agree with these on the frozen fixtures; nothing here imports
 the modules under test, except that witness_by_loop decides each of its
-candidates with semantics.is_valid to judge the one-search witness.  The
+candidates with semantics.is_valid to judge the one-search witness, and
+cells_by_recursion walks clog.branches' IR with the enumerator's own
+feasibility check to judge the order of the explicit-stack walk.  The
 parser judge, parse_tracking_offsets, builds its formulas with syntax's
 node classes and sugar and raises syntax.ParseError.
 """
@@ -181,6 +183,74 @@ def witness_by_loop(premises, goal, cap, budget=None):
         if semantics.is_valid(f, budget=budget)[0]:
             return m
     return None
+
+
+def cells_by_recursion(enum, term):
+    """The cells of CellEnumerator.iter_cells, found by a recursive
+    generator: one nested walk per split on the current path, each cell
+    passed up through every one of them.  It visits the sides in the same
+    order, with the same face skip and the same enum.feasible_point calls,
+    so it judges the explicit-stack walk cell by cell; it stops at Python's
+    recursion limit, about a thousand splits deep."""
+    from clog.branches import Affine, Cell, PLComb
+    from clog.rationals import rat
+
+    nodes, roots = term
+    values = [None] * len(nodes)
+    constraints = {}
+
+    def walk(i, point):
+        while i < len(nodes):
+            n = nodes[i]
+            t = type(n)
+            if t is Affine:
+                values[i] = n
+            elif t is PLComb:
+                total = Affine.constant(n.const)
+                for k, j in n.terms:
+                    total = total.plus(values[j].scale(rat(k)))
+                values[i] = total
+            else:
+                break
+            i += 1
+        else:
+            yield Cell(dict(constraints), tuple(values[r] for r in roots), point)
+            return
+        node = nodes[i]  # a PLMonus: zero where diff <= 0, else diff
+        diff = values[node.left].minus(values[node.right])
+        if not diff.coeffs:
+            values[i] = Affine.constant(0) if diff.const <= 0 else diff
+            yield from walk(i + 1, point)
+            return
+        guards = (diff.negated(), diff)
+        ints, const = diff.key()
+        keys = ((tuple([(v, -x) for v, x in ints]), -const), (ints, const))
+        for si in (0, 1):
+            if keys[si] in constraints:
+                values[i] = diff if si else Affine.constant(0)
+                yield from walk(i + 1, point)
+                return
+        d = diff.evaluate(point)
+        order = (0, 1) if d <= 0 else (1, 0)
+        for si in order:
+            guard = guards[si]
+            if si == order[1] and guard.box_max() <= 0:
+                break
+            key = keys[si]
+            if (d >= 0) if si else (d <= 0):
+                newpoint = point
+            else:
+                trial = dict(constraints)
+                trial[key] = guard
+                newpoint = enum.feasible_point(trial)
+                if newpoint is None:
+                    continue
+            constraints[key] = guard
+            values[i] = diff if si else Affine.constant(0)
+            yield from walk(i + 1, newpoint)
+            del constraints[key]
+
+    yield from walk(0, dict(enum._center))
 
 
 def random_core_formula(rng, max_depth, atoms, monus_cap=None):

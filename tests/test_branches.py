@@ -6,6 +6,7 @@ import oracles
 from clog import semantics
 from clog.branches import Affine, CellEnumerator
 from clog.rationals import ONE
+from clog.syntax import Atom, Const0, Half, Monus, Neg
 
 
 def random_affine(rng, names):
@@ -78,3 +79,73 @@ def test_every_cell_is_keyed_pointed_and_valued_correctly():
             value = cell.values[0].evaluate(point)
             assert value == semantics.evaluate(f, point)
     assert cells > 400 and constraints > 800
+
+
+def shared_terms(rng, atoms):
+    """Formulas each built on earlier ones: subterms repeat, and some
+    subtractions take a term from itself or a swapped, halved or negated
+    copy of an earlier pair, so that their difference is constant or lies
+    on a hyperplane split before; a few take a constant."""
+    constants = [Const0(), Neg(Const0())]
+    pool = [Atom(a) for a in atoms]
+    pairs = []
+    for _ in range(rng.randint(5, 12)):
+        a, b = (rng.choice(constants if rng.random() < 0.1 else pool)
+                for _ in "ab")
+        kind = rng.randrange(6)
+        if kind == 0:
+            f = rng.choice([Neg(a), Half(a), Monus(a, a)])
+        elif kind < 3 and pairs:
+            a, b = rng.choice(pairs)
+            f = rng.choice(
+                [Monus(b, a), Monus(Half(a), Half(b)), Monus(Neg(b), Neg(a))])
+        else:
+            f = Monus(a, b)
+            pairs.append((a, b))
+        pool.append(f)
+    return pool[len(atoms):]
+
+
+def face_chain(rng, atoms):
+    """((0 - x0) - x1) - ... over atoms drawn with repeats, beside a random
+    formula: the chain is one cell, its second sides only faces."""
+    chain = Const0()
+    for _ in range(rng.randint(2, 6)):
+        chain = Monus(chain, Atom(rng.choice(atoms)))
+    other = oracles.random_core_formula(rng, 4, atoms, monus_cap=4)
+    return [chain, other, Monus(other, chain)]
+
+
+def fields(cell):
+    return (
+        [(key, aff.coeffs, aff.const) for key, aff in cell.constraints.items()],
+        [(v.coeffs, v.const) for v in cell.values],
+        cell.point,
+    )
+
+
+def test_the_stack_walk_yields_the_recursive_walks_cells():
+    """iter_cells against the recursive judge: the same cells in the same
+    order, each with the same constraint keys in the same order, the same
+    guards, root values and point."""
+    rng = random.Random(22)
+    cells = moved = 0
+    for case in range(600):
+        atoms = ["p%d" % i for i in range(rng.randint(2, 4))]
+        if case % 3 == 0:
+            roots = [oracles.random_core_formula(rng, 6, atoms, monus_cap=8)]
+        elif case % 3 == 1:
+            roots = shared_terms(rng, atoms)
+        else:
+            roots = face_chain(rng, atoms)
+        nodes, pos, names = semantics._traverse(roots)
+        term = (semantics._ir(nodes, pos), [pos[id(f)] for f in roots])
+        enum = CellEnumerator(names)
+        got = [fields(c) for c in enum.iter_cells(term)]
+        want = [fields(c) for c in oracles.cells_by_recursion(enum, term)]
+        assert got == want, [str(f) for f in roots]
+        cells += len(got)
+        # points the screen or an LP found, not the carried centre
+        moved += sum(c[2] != enum._center for c in got)
+    assert cells > 1200 and moved > 250
+

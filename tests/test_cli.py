@@ -733,6 +733,18 @@ def test_deeply_nested_formulas(capsys, tmp_path):
         assert out.endswith(tail + "\n")
 
 
+def test_cell_search_beyond_the_stack(capsys, monkeypatch):
+    """With the budget lifted, the 10,000-split chain ((0 - a0) - a1) ...
+    - a9999 reaches the cell search, which nests to any depth: valid,
+    well within 10 s."""
+    monkeypatch.setenv("CLOG_BRANCH_BUDGET", "0")
+    text = "(" * 10_000 + "0" + "".join(" - a%d)" % i for i in range(10_000))
+    started = time.monotonic()
+    rc, out = run(capsys, ["valid", "-e", text])
+    assert time.monotonic() - started < 10
+    assert (rc, out) == (0, '{"cmd":"valid","status":"ok","valid":true}\n')
+
+
 def test_first_order_nesting_beyond_the_stack(capsys, tmp_path):
     """First-order formulas nest to any depth: both routes answer on 5,000
     nested `neg`, each run well within 10 s."""

@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -376,3 +378,45 @@ def test_entails_rejects_nonpropositional_premises():
 
     with pytest.raises(TypeError):
         entails_semantic([parse_lformula("inf x. P(x)")], F("p"))
+
+
+def test_the_cell_search_nests_to_any_depth():
+    """The 10,000-split chain ((0 - a0) - a1) - ... - a9999 is valid and
+    one cell: the search keeps its own stack, so each decision answers
+    well within 10 s instead of hitting the recursion limit."""
+    f = syntax.Const0()
+    for i in range(10_000):
+        f = syntax.Monus(f, Atom("a%d" % i))
+    for decide, want in [(lambda: is_valid(f), (True, None)),
+                         (lambda: is_satisfiable([f]), True)]:
+        started = time.monotonic()
+        assert decide() == want
+        assert time.monotonic() - started < 10
+
+
+def test_decisions_leave_no_cyclic_garbage():
+    """Reference counting frees everything a decision builds: with the
+    collector off, it finds nothing afterwards."""
+    pairs = [(F(a), F(b)) for a, b in [
+        ("((p - q) - p)", "(q - p)"),
+        ("(p - (q - r))", "half (p - q)"),
+        ("neg (p - q)", "((p - q) - (r - p))"),
+        ("((a - b) - (c - d))", "(((a - b) - c) - ((d - e) - (f - g)))"),
+    ]]
+    calls = [
+        lambda f, g: is_valid(f),
+        lambda f, g: is_satisfiable([f, g]),
+        lambda f, g: entails_semantic([f], g),
+        lambda f, g: entails_witness([f], g, cap=4),
+        lambda f, g: unsat_witness([f, g], cap=4),
+        lambda f, g: sup_value(g),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            for f, g in pairs:
+                call(f, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
