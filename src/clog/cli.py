@@ -207,16 +207,16 @@ def _cmd_entail(args, parser):
 
     premises = [syntax.parse_formula(t) for t in args.premise or ()]
     goal = syntax.parse_formula(args.goal)
-    budget = _budget()
-    ok, point = semantics.entails_semantic(premises, goal, budget=budget)
-    payload = {"valid": bool(ok)}
+    cap = None
     if args.witness:
         cap = semantics.DEFAULT_WITNESS_CAP if args.cap is None else args.cap
-        payload["m"] = semantics.entails_witness(
-            premises, goal, cap=cap, budget=budget)
-    if not ok:
+    point, m = semantics.entailment(premises, goal, cap=cap, budget=_budget())
+    payload = {"valid": point is None}
+    if args.witness:
+        payload["m"] = m
+    if point is not None:
         payload["countermodel"] = _fmt_point(point)
-    return ("ok" if ok else "fail"), payload
+    return ("ok" if point is None else "fail"), payload
 
 
 def _cmd_unsat_witness(args, parser):

@@ -10,13 +10,15 @@ of is_valid's refutations with an exact counterexample before any LP runs.
 Each entry point traverses its formulas once, with syntax.subformulas, and
 reads the budget count, atom order, grid sweep and cell IR off that result.
 is_valid also abstracts repeated subformulas away and traverses the
-resulting skeleton once more.
+resulting skeleton once more.  One cell search serves every decision, and
+gives an entailment's verdict, countermodel and witness m at once.
 
 Conventions: an assignment maps atom names to rationals in [0,1]; a formula
 is valid iff its value is 0 under every assignment; a set of formulas entails
 a goal iff every assignment making all premises 0 makes the goal 0.
 """
 
+import functools
 import itertools
 import math
 
@@ -169,16 +171,36 @@ def _positive_point(enum, cell, objective, zeros=()):
     return got[1] if got is not None and got[0] > 0 else None
 
 
-def _refute(atoms, term):
-    """The first point found where every root but the first is 0 and the
-    first is positive, or None if there is none; term is (IR nodes, root
-    positions) as CellEnumerator.iter_cells takes it."""
+def _search(atoms, ir, roots, cap):
+    """entailment's (countermodel, m), roots = [goal, p_0, ...] being
+    positions in the IR nodes ir.  goal - m*p_0 - ... is max(0, goal - m*S),
+    S the premises' sum, and goal/S is linear-fractional on each cell
+    (Dinkelbach 1967): while goal - m*S is positive at the cell's point or
+    an LP vertex x, m becomes the ceiling of goal(x)/S(x), which puts x out
+    of reach for good.  A cell where that step ends with m <= cap holds no
+    countermodel; the refutation test runs on the others, and on every
+    cell without a cap or a premise."""
     enum = CellEnumerator(atoms)
-    for cell in enum.iter_cells(term):
-        point = _positive_point(enum, cell, cell.values[0], cell.values[1:])
+    step = cap is not None and len(roots) > 1
+    m = 0
+    for cell in enum.iter_cells((ir, roots)):
+        goal, premises = cell.values[0], cell.values[1:]
+        if step and m <= cap:
+            total = functools.reduce(Affine.plus, premises)
+            while (x := _positive_point(
+                    enum, cell, goal.minus(total.scale(m)))) is not None:
+                s = total.evaluate(x)
+                if not s:  # every premise is 0 at x and the goal is not
+                    break
+                m = math.ceil(goal.evaluate(x) / s)
+                if m > cap:
+                    break
+            else:
+                continue
+        point = _positive_point(enum, cell, goal, premises)
         if point is not None:
-            return point
-    return None
+            return point, None
+    return None, (m if cap is not None and m <= cap else None)
 
 
 def is_valid(formula, budget=None):
@@ -198,89 +220,54 @@ def is_valid(formula, budget=None):
     # abstraction pre-pass: hiding repeated subformulas behind fresh atoms
     # keeps the cell count tiny, and validity of the abstraction carries over
     skeleton = _abstract_shared(formula, nodes, pos, atoms)
-    if skeleton is not None:
-        sk_nodes, sk_pos, sk_atoms = _traverse([skeleton])
-        if _refute(sk_atoms, (_ir(sk_nodes, sk_pos), [len(sk_nodes) - 1])) is None:
-            return True, None
-    point = _refute(atoms, (_ir(nodes, pos), [len(nodes) - 1]))
+    if skeleton is not None and entailment([], skeleton)[0] is None:
+        return True, None
+    point = _search(atoms, _ir(nodes, pos), [len(nodes) - 1], None)[0]
     return point is None, point
 
 
-def is_satisfiable(formulas, budget=None):
-    """Is there one assignment giving every formula the value 0?
-
-    Decided as the failure of the entailment from the set to the constant 1:
-    a common zero of the formulas is exactly a countermodel to it.
+def entailment(premises, goal, cap=None, budget=None):
+    """(countermodel, m) from one search over the cells of the goal and the
+    premises: an assignment making every premise 0 and the goal positive,
+    or None if the premises entail the goal; and, given a cap, the smallest
+    m <= cap making goal - m*p_0 - ... - m*p_(k-1) valid, or None.  By the
+    finite-implication property m exists exactly when the premises entail
+    the goal.  A goal of None is the constant 1, one IR leaf the budget
+    does not charge: its countermodels are the premises' common zeros.
     """
-    formulas = list(formulas)
-    if not formulas:
-        return True
+    premises = list(premises)
+    formulas = premises if goal is None else [goal] + premises
     nodes, pos, atoms = _traverse(formulas, budget)
-    # the goal, constant 1, is one leaf: none of its nodes is charged
-    ir = _ir(nodes, pos) + [Affine.constant(1)]
-    roots = [len(nodes)] + [pos[id(f)] for f in formulas]
-    return _refute(atoms, (ir, roots)) is not None
+    ir = _ir(nodes, pos)
+    if goal is None:
+        ir.append(Affine.constant(1))
+    roots = [len(nodes) if goal is None else pos[id(goal)]]
+    return _search(atoms, ir, roots + [pos[id(p)] for p in premises], cap)
+
+
+def is_satisfiable(formulas, budget=None):
+    """Is there one assignment giving every formula the value 0?  A common
+    zero is exactly a countermodel to the entailment of the constant 1."""
+    return entailment(formulas, None, budget=budget)[0] is not None
 
 
 def entails_semantic(premises, goal, budget=None):
     """(True, None) if every common zero of the premises zeroes the goal,
-    else (False, countermodel): an assignment with all premises 0 and the
-    goal positive.
-
-    Only finite premise lists are accepted.
-    """
-    premises = list(premises)
-    roots = [goal] + premises
-    nodes, pos, atoms = _traverse(roots)
-    # the premises need a traversal of their own only if some node is not
-    # propositional
-    if not all(type(f) in syntax._PROPOSITIONAL for f in nodes) and not (
-        syntax.is_propositional(*premises)
-    ):
-        raise TypeError("premises must be propositional formulas")
-    _check_budget(nodes, budget)
-    point = _refute(atoms, (_ir(nodes, pos), [pos[id(f)] for f in roots]))
+    else (False, countermodel); see entailment."""
+    point = entailment(premises, goal, budget=budget)[0]
     return point is None, point
 
 
-def _witness(premises, goal, cap, budget):
-    """Smallest m <= cap with goal <= m*S on the box, S the premises' sum,
-    or None; goal None is the constant 1, one IR leaf the budget does not
-    charge.  goal - m*p_0 - ... - m*p_(k-1) is max(0, goal - m*S), and
-    goal/S is linear-fractional on each cell (Dinkelbach 1967): while
-    goal - m*S is positive at the cell's point or an LP vertex x, m becomes
-    the ceiling of goal(x)/S(x), which puts x out of reach for good."""
-    premises = list(premises)
-    nodes, pos, atoms = _traverse(premises + ([] if goal is None else [goal]), budget)
-    ir = _ir(nodes, pos) + [
-        Affine.constant(1), PLComb([(ONE, pos[id(p)]) for p in premises])]
-    roots = [len(nodes) if goal is None else pos[id(goal)], len(nodes) + 1]
-    enum = CellEnumerator(atoms)
-    m = 0
-    for cell in enum.iter_cells((ir, roots)):
-        value, total = cell.values
-        while (x := _positive_point(
-                enum, cell, value.minus(total.scale(m)))) is not None:
-            s = total.evaluate(x)  # 0: every premise is 0 and the goal is not
-            m = math.ceil(value.evaluate(x) / s) if s else math.inf
-            if m > cap:
-                return None
-    return m if m <= cap else None
-
-
 def entails_witness(premises, goal, cap=DEFAULT_WITNESS_CAP, budget=None):
-    """Smallest m <= cap making goal - m*p_0 - ... - m*p_{n-1} valid, or None.
-
-    By the finite-implication property this m exists exactly when the
-    premises entail the goal (and the premise list is finite).
-    """
-    return _witness(premises, goal, cap, budget)
+    """Smallest m <= cap making goal - m*p_0 - ... - m*p_(k-1) valid, or
+    None; see entailment."""
+    return entailment(premises, goal, cap, budget)[1]
 
 
 def unsat_witness(premises, cap=DEFAULT_WITNESS_CAP, budget=None):
-    """Smallest n <= cap making 1 - n*p_0 - ... - n*p_{k-1} valid, or None.
+    """Smallest n <= cap making 1 - n*p_0 - ... - n*p_(k-1) valid, or None.
 
     Such an n certifies that the premises have no common zero: it is the
     entailment witness for the goal 1.
     """
-    return _witness(premises, None, cap, budget)
+    return entailment(premises, None, cap, budget)[1]

@@ -6,9 +6,11 @@ common denominator where every grid point is swept).  The package's
 decision procedures (branch enumeration + rational LP, the integer grid
 sweep) must agree with these on the frozen fixtures; nothing here imports
 the modules under test, except that witness_by_loop decides each of its
-candidates with semantics.is_valid to judge the one-search witness, and
+candidates with semantics.is_valid to judge the one-search witness,
 cells_by_recursion walks clog.branches' IR with the enumerator's own
-feasibility check to judge the order of the explicit-stack walk.  The
+feasibility check to judge the order of the explicit-stack walk, and
+countermodel_by_refutation runs the refutation test on every cell of
+clog.branches' walk to judge which cells the one search skips.  The
 parser judge, parse_tracking_offsets, builds its formulas with syntax's
 node classes and sugar and raises syntax.ParseError.
 """
@@ -182,6 +184,35 @@ def witness_by_loop(premises, goal, cap, budget=None):
             f = syntax.monus_chain(f, m, p)
         if semantics.is_valid(f, budget=budget)[0]:
             return m
+    return None
+
+
+def _positive_point(enum, cell, objective, zeros=()):
+    """A point of the cell, its own or an LP vertex, where the objective is
+    positive and the zeros (affines >= 0 on the cell) are 0, or None."""
+    if objective.box_max() <= 0:
+        return None
+    point = cell.point
+    if objective.evaluate(point) > 0 and all(z.evaluate(point) == 0 for z in zeros):
+        return point
+    # the zeros are >= 0 on the cell already, so one inequality each pins them
+    extra = [z.negated() for z in zeros]
+    got = enum.optimize_cell(cell, objective, extra=extra, stop_when_positive=True)
+    return got[1] if got is not None and got[0] > 0 else None
+
+
+def countermodel_by_refutation(atoms, term):
+    """The first point found where every root but the first is 0 and the
+    first is positive, or None if there is none; term is (IR nodes, root
+    positions) as CellEnumerator.iter_cells takes it.  The refutation test
+    runs on every cell, with no witness step to rule any cell out."""
+    from clog.branches import CellEnumerator
+
+    enum = CellEnumerator(atoms)
+    for cell in enum.iter_cells(term):
+        point = _positive_point(enum, cell, cell.values[0], cell.values[1:])
+        if point is not None:
+            return point
     return None
 
 

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from clog import cli, hall, randomisation, rv, syntax
+from clog import branches, cli, hall, randomisation, rv, syntax
 from clog.cli import main
 from clog.rationals import rat
 
 import test_hall
 import test_randomisation
+import test_semantics
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,6 +137,31 @@ def test_entail_witness_on_a_non_entailment(capsys):
         '{"cmd":"entail","status":"fail","valid":false,"m":null,'
         '"countermodel":{"p":"1/2","q":"1/2"}}\n'
     )
+
+
+def test_entail_witness_walks_the_cells_once(capsys, monkeypatch):
+    """One search gives the verdict, the countermodel and m: the goal and
+    premises are traversed once and their cells walked once."""
+    traversals = test_semantics.count_traversals(monkeypatch)
+    walks = []
+    iter_cells = branches.CellEnumerator.iter_cells
+
+    def counting(self, term):
+        walks.append(term)
+        return iter_cells(self, term)
+
+    monkeypatch.setattr(branches.CellEnumerator, "iter_cells", counting)
+    for premise, goal, tail in [
+        ("p", "half p", '"ok","valid":true,"m":1}'),
+        ("(p - q)", "p",
+         '"fail","valid":false,"m":null,"countermodel":{"p":"1/2","q":"1/2"}}'),
+    ]:
+        traversals.clear()
+        walks.clear()
+        rc, out = run(capsys, ["entail", "--premise", premise, "--goal", goal,
+                               "--witness"])
+        assert out == '{"cmd":"entail","status":%s\n' % tail
+        assert (len(traversals), len(walks)) == (1, 1)
 
 
 def test_unsat_witness(capsys):
@@ -303,6 +329,23 @@ def test_rand_eval_golden(capsys, tmp_path):
     )
     assert rc == 0
     assert out == '{"cmd":"rand eval","status":"ok","values":["1/4","0/1"]}\n'
+
+
+def test_readme_quick_start(capsys, tmp_path):
+    """Each `$ clog` line of the README's first example block prints the
+    line shown under it; its Hall instance is the blocked pair."""
+    readme = (ROOT / "README.md").read_text()
+    block = next(b for b in re.findall(r"```\n(.*?)```", readme, re.S)
+                 if b.startswith("$ clog"))
+    examples = re.findall(r"^\$ clog (.*)\n(.*)$", block, re.M)
+    assert len(examples) == 4
+    instance = str(write_fixtures(tmp_path)["hall_pair"])
+    for command, expected in examples:
+        argv = [instance if a == "instance.json" else a
+                for a in shlex.split(command, comments=True)]
+        rc, out = run(capsys, argv)
+        assert out == expected + "\n", command
+        assert rc == (0 if '"status":"ok"' in expected else 1)
 
 
 def test_readme_family_example(capsys, tmp_path):

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from clog import syntax
+from clog import branches, semantics, syntax
 from clog.kernel import KernelUnsupported, grid_max
 from clog.semantics import (
     BudgetExceeded,
     entails_semantic,
     entails_witness,
+    entailment,
     enumerate_branches,
     evaluate,
     is_satisfiable,
@@ -206,6 +207,14 @@ def test_entailment_examples():
     assert ok
     ok, cx = entails_semantic([], F("p"))
     assert not ok
+    # the countermodel is the first one in the cells of the goal first; the
+    # premise's splits first would meet r = 1/4 first
+    cx = entailment([F("(r - neg r)")], F("((q - neg q) - (r - half p))"), 1)[0]
+    assert cx == {"p": Fraction(1, 2), "q": Fraction(3, 4), "r": Fraction(1, 2)}
+    # m passes the cap 0 on a cell before the countermodel's, so every later
+    # cell still takes the refutation test
+    assert entailment([F("neg (q - neg p)"), F("neg p")], F("q"), 0) == (
+        {"p": 1, "q": 1}, None)
 
 
 def test_entailment_witness_examples():
@@ -306,6 +315,42 @@ def test_witness_search_does_not_grow_with_the_answer():
     assert unsat_witness([F("(p - q)")], cap=10**9) is None
 
 
+def _refutation_term(premises, goal):
+    """(atoms, (IR nodes, roots)) of the entailment, goal first; a goal of
+    None is the constant 1, one leaf after the premises' nodes."""
+    formulas = premises if goal is None else [goal] + premises
+    nodes, pos, atoms = semantics._traverse(formulas)
+    ir = semantics._ir(nodes, pos)
+    if goal is None:
+        ir.append(branches.Affine.constant(1))
+    roots = [len(nodes) if goal is None else pos[id(goal)]]
+    return atoms, (ir, roots + [pos[id(p)] for p in premises])
+
+
+def test_one_search_finds_the_refutations_countermodel():
+    # the one search skips the refutation test on a cell where the witness
+    # step bounds the goal by m*S; the judge runs it on every cell, and the
+    # first point found must be the same, with a cap and without, and for
+    # the goal 1 (satisfiability); m is judged by the is_valid loop
+    rng = random.Random(20261020)
+    answers = []
+    for _ in range(1000):
+        premises, goal, cap = _random_witness_problem(rng)
+        want = oracles.countermodel_by_refutation(*_refutation_term(premises, goal))
+        point, m = entailment(premises, goal, cap)
+        assert point == want
+        assert entails_semantic(premises, goal) == (want is None, want)
+        zero = oracles.countermodel_by_refutation(*_refutation_term(premises, None))
+        assert is_satisfiable(premises) == (zero is not None)
+        try:
+            assert m == oracles.witness_by_loop(premises, goal, cap, budget=24)
+        except BudgetExceeded:
+            pass
+        answers.append((want is None, zero is None, m))
+    assert {(False, False, None), (True, False, 1), (True, True, 0)} < set(answers)
+    assert sum(m is None for ok, _, m in answers if ok) > 20  # m over the cap
+
+
 def test_budget_enforcement():
     f = monus_chain(Atom("p"), 5, Atom("q"))
     with pytest.raises(BudgetExceeded):
@@ -322,6 +367,7 @@ def test_budget_enforcement():
     calls = [
         (lambda b: is_satisfiable(sat_set, budget=b), sat_set),
         (lambda b: entails_semantic(premises, goal, budget=b), premises + [goal]),
+        (lambda b: entailment(premises, goal, 4, budget=b), premises + [goal]),
         (lambda b: sup_value(goal, budget=b), [goal]),
         (lambda b: entails_witness(premises, goal, budget=b), premises + [goal]),
         (lambda b: unsat_witness(sat_set, budget=b), sat_set),
@@ -333,10 +379,9 @@ def test_budget_enforcement():
             call(budget - 1)
 
 
-def test_is_valid_traverses_formula_and_skeleton_once(monkeypatch):
-    # an A2 instance with phi = (p - q): phi repeats, so the abstraction
-    # pre-pass hides it behind a fresh atom, and the skeleton is valid
-    f = F("(((s - (p - q)) - (s - r)) - (r - (p - q)))")
+def count_traversals(monkeypatch):
+    """The roots of every syntax.subformulas call from here on, in a list
+    that grows as they are made."""
     calls = []
     subformulas = syntax.subformulas
 
@@ -350,6 +395,14 @@ def test_is_valid_traverses_formula_and_skeleton_once(monkeypatch):
         if name.split(".")[0] == "clog" and (
                 getattr(module, "subformulas", None) is subformulas):
             monkeypatch.setattr(module, "subformulas", counting)
+    return calls
+
+
+def test_is_valid_traverses_formula_and_skeleton_once(monkeypatch):
+    # an A2 instance with phi = (p - q): phi repeats, so the abstraction
+    # pre-pass hides it behind a fresh atom, and the skeleton is valid
+    f = F("(((s - (p - q)) - (s - r)) - (r - (p - q)))")
+    calls = count_traversals(monkeypatch)
     assert is_valid(f, budget=24) == (True, None)
     # the formula once, for the budget, the grid sweep and the cells, and
     # its skeleton once
@@ -374,10 +427,27 @@ def test_abstraction_atoms_are_fresh():
 
 
 def test_entails_rejects_nonpropositional_premises():
+    # syntax.fold refuses a first-order node wherever it sits, so every
+    # entry point refuses a first-order premise or goal without a check of
+    # its own
     from clog.syntax import parse_lformula
 
-    with pytest.raises(TypeError):
-        entails_semantic([parse_lformula("inf x. P(x)")], F("p"))
+    p = F("p")
+    for fo in (parse_lformula("inf x. 0"), parse_lformula("P(x)")):
+        for call in [
+            lambda: is_valid(fo),
+            lambda: sup_value(fo),
+            lambda: is_satisfiable([p, fo]),
+            lambda: entails_semantic([fo], p),
+            lambda: entails_semantic([p], fo),
+            lambda: entails_witness([fo], p),
+            lambda: entails_witness([p], fo),
+            lambda: entailment([fo], p, cap=4),
+            lambda: entailment([p], fo, cap=4),
+            lambda: unsat_witness([p, fo]),
+        ]:
+            with pytest.raises(TypeError):
+                call()
 
 
 def test_the_cell_search_nests_to_any_depth():
@@ -408,6 +478,7 @@ def test_decisions_leave_no_cyclic_garbage():
         lambda f, g: is_satisfiable([f, g]),
         lambda f, g: entails_semantic([f], g),
         lambda f, g: entails_witness([f], g, cap=4),
+        lambda f, g: entailment([f], g, cap=4),
         lambda f, g: unsat_witness([f, g], cap=4),
         lambda f, g: sup_value(g),
     ]
