@@ -27,23 +27,35 @@ def _tuples(universe, arity):
 
 
 def _lipschitz_slacks(structure):
-    """Every table's modulus slack, one argument slot changed at a time.
+    """Every table's modulus slack, one argument slot changed at a time, on
+    integers.
 
-    Yields (kind, name, slot, key, swapped, slack), kind being "predicate"
-    or "function": swapped is key with slot changed, and slack is the gap
-    between the two table values (a distance, for a function) minus the
-    slot's Lipschitz constant times the distance between the changed
-    arguments.  The table is within its modulus there iff slack <= 0.
+    Yields (kind, name, slot, key, swapped, slack, den), kind being
+    "predicate" or "function": swapped is key with slot changed, and
+    slack / den is the gap between the two table values (a distance, for a
+    function) minus the slot's Lipschitz constant p/q times the distance
+    between the changed arguments.  The metric and predicate tables are read
+    as they are now, over one lcm L of their denominators, so slack is the
+    integer q * gap - p * distance and den is q * L.  The table is within
+    its modulus there iff slack <= 0.
     """
     sig = structure.signature
-    metric = structure.metric
+    metric, predicates = structure.metric, structure.predicates
+    scale = math.lcm(*{v.denominator for v in metric.values()},
+                     *{v.denominator for t in predicates.values() for v in t.values()})
+    metric = {k: v.numerator * (scale // v.denominator) for k, v in metric.items()}
     for kind, moduli, tables in (
-        ("predicate", sig.predicates, structure.predicates),
+        ("predicate", sig.predicates, predicates),
         ("function", sig.functions, structure.functions),
     ):
         for name, lam in moduli.items():
             table = tables[name]
+            if kind == "predicate":
+                table = {k: v.numerator * (scale // v.denominator)
+                         for k, v in table.items()}
             for slot, bound in enumerate(lam):
+                p, q = bound.numerator, bound.denominator
+                den = q * scale
                 for key in _tuples(structure.universe, len(lam)):
                     for other in structure.universe:
                         if other == key[slot]:
@@ -53,14 +65,22 @@ def _lipschitz_slacks(structure):
                             gap = abs(table[key] - table[swapped])
                         else:
                             gap = metric[table[key], table[swapped]]
-                        slack = gap - bound * metric[key[slot], other]
-                        yield kind, name, slot, key, swapped, slack
+                        slack = q * gap - p * metric[key[slot], other]
+                        yield kind, name, slot, key, swapped, slack, den
 
 
 class FiniteLStructure:
     """A finite metric structure: rational predicate tables, total function
-    tables, and an exact metric, all validated against the signature's
-    Lipschitz constants at construction time."""
+    tables, and an exact metric.
+
+    Construction checks, in this order, and raises ValueError at the first
+    failure (TypeError at a float value): metric values in [0,1]; a zero
+    diagonal, symmetry and separation; the triangle inequality, over
+    (a, b, c) in universe order; each predicate table's keys and values in
+    [0,1], then each function table's keys and values in the universe; and
+    every slot's modulus (the signature's Lipschitz constant).  The checks
+    are exact, on integers over one common denominator of the structure's
+    values; the tables are kept as dicts of Fractions."""
 
     def __init__(self, signature, universe, predicates=None, functions=None,
                  metric=None):
@@ -84,34 +104,45 @@ class FiniteLStructure:
     # ---- validation ------------------------------------------------------
 
     def _check_metric(self, metric):
-        n = len(self.universe)
+        """The metric as a dict of Fractions, once the metric checks of the
+        class docstring pass on integer rows over its denominators' lcm."""
+        universe = self.universe
+        n = len(universe)
         if metric is None and n == 1:
             metric = [[0]]
         if metric is None or len(metric) != n or any(len(row) != n for row in metric):
             raise ValueError("metric must be an %dx%d table" % (n, n))
-        d = {}
-        for i, a in enumerate(self.universe):
-            for j, b in enumerate(self.universe):
-                v = rat(metric[i][j])
+        values = []
+        for row in metric:
+            for v in row:
+                v = rat(v)
                 if not is_unit_interval(v):
                     raise ValueError("metric value %s outside [0,1]" % (v,))
-                d[a, b] = v
-        for i, a in enumerate(self.universe):
-            if d[a, a] != 0:
+                values.append(v)
+        ratios = [v.as_integer_ratio() for v in values]
+        scale = math.lcm(*{den for _, den in ratios})
+        rows = [[num * (scale // den) for num, den in ratios[i:i + n]]
+                for i in range(0, n * n, n)]
+        for i, row in enumerate(rows):
+            a = universe[i]
+            if row[i]:
                 raise ValueError("d(%s,%s) must be 0" % (a, a))
-            for b in self.universe[i + 1:]:
-                if d[a, b] != d[b, a]:
-                    raise ValueError("metric not symmetric at (%s,%s)" % (a, b))
-                if d[a, b] == 0:
-                    raise ValueError("distinct elements %s,%s at distance 0" % (a, b))
-        for a in self.universe:
-            for b in self.universe:
-                for c in self.universe:
-                    if d[a, c] > d[a, b] + d[b, c]:
-                        raise ValueError(
-                            "triangle inequality fails on (%s,%s,%s)" % (a, b, c)
-                        )
-        return d
+            for j in range(i + 1, n):
+                if row[j] != rows[j][i]:
+                    raise ValueError(
+                        "metric not symmetric at (%s,%s)" % (a, universe[j]))
+                if not row[j]:
+                    raise ValueError(
+                        "distinct elements %s,%s at distance 0" % (a, universe[j]))
+        for i, row in enumerate(rows):
+            for j, ab in enumerate(row):
+                # d(a,c) > d(a,b) + d(b,c) for some c iff d(a,c) - d(b,c) > d(a,b)
+                if max(map(operator.sub, row, rows[j])) > ab:
+                    k = next(k for k, (ac, bc) in enumerate(zip(row, rows[j]))
+                             if ac > ab + bc)
+                    raise ValueError("triangle inequality fails on (%s,%s,%s)"
+                                     % (universe[i], universe[j], universe[k]))
+        return dict(zip(_tuples(universe, 2), values))
 
     def _check_pred_table(self, name, arity, table):
         if table is None:
@@ -145,7 +176,7 @@ class FiniteLStructure:
 
     def _check_lipschitz(self):
         """Exhaustive modulus check: vary one argument slot at a time."""
-        for kind, name, slot, key, swapped, slack in _lipschitz_slacks(self):
+        for kind, name, slot, key, swapped, slack, _ in _lipschitz_slacks(self):
             if slack > 0:
                 raise ValueError(
                     "%s %r violates its modulus in slot %d between %r and %r"
@@ -531,7 +562,9 @@ def check_R_axioms(family, sections):
     """Exact residual report for the randomisation axioms.
 
     R1_P / R1_f: worst modulus violation over all predicate/function tables
-    (recomputed from scratch, though construction already enforces them).
+    (recomputed from the tables as they are now, though construction
+    already enforces the moduli): the same integer slacks as the load
+    check, compared exactly, and only the two maxima made Fractions.
     R2: worst gap between the section distance and the direct weighted sum
     of pointwise distances, over sample pairs.  R3: worst failure of the
     gluing identities d(a,c)=0 on A, d(b,c)=0 off A, over sample pairs and
@@ -544,11 +577,12 @@ def check_R_axioms(family, sections):
         if sec.family != family:
             raise ValueError("sample section from a different family")
 
-    r1 = {"predicate": ZERO, "function": ZERO}
+    r1 = {"predicate": (0, 1), "function": (0, 1)}  # slack, den of the worst
     for s in family.structures:
-        for kind, _, _, _, _, slack in _lipschitz_slacks(s):
-            if slack > r1[kind]:
-                r1[kind] = slack
+        for kind, _, _, _, _, slack, den in _lipschitz_slacks(s):
+            worst, worst_den = r1[kind]
+            if slack * worst_den > worst * den:
+                r1[kind] = slack, den
 
     r2 = ZERO
     weights = family.space.weights
@@ -579,7 +613,8 @@ def check_R_axioms(family, sections):
                     if gap > r3:
                         r3 = gap
     return {
-        "R1_P": r1["predicate"], "R1_f": r1["function"], "R2": r2, "R3": r3,
+        "R1_P": rat(*r1["predicate"]), "R1_f": rat(*r1["function"]),
+        "R2": r2, "R3": r3,
     }
 
 
@@ -613,7 +648,8 @@ def los_check(phi, env, family, weighting=None):
             raise ValueError("weighting length does not match the space")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        if sum(weights, start=ZERO) != 1:
+        den = math.lcm(*[w.denominator for w in weights])
+        if sum([w.numerator * (den // w.denominator) for w in weights]) != den:
             raise ValueError("weights must sum to exactly 1")
     positions = _positions(phi, env, family)
     inductive = bracket_by_sections(phi, env, family, positions)

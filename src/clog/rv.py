@@ -11,6 +11,8 @@ random variables: each propositional atom names an RV and the connectives
 act pointwise (rv_eval).
 """
 
+import math
+
 from .rationals import HALF, ONE, ZERO, format_rat, is_unit_interval, parse_rat, rat
 
 
@@ -32,7 +34,8 @@ class FiniteProbSpace:
             raise ValueError("duplicate atom ids")
         if not ids:
             raise ValueError("a probability space needs at least one atom")
-        if sum(weights, start=ZERO) != 1:
+        den = math.lcm(*[w.denominator for w in weights])
+        if sum([w.numerator * (den // w.denominator) for w in weights]) != den:
             raise ValueError("weights must sum to exactly 1")
         self.ids = tuple(ids)
         self.weights = tuple(weights)

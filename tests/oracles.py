@@ -8,19 +8,22 @@ sweep) must agree with these on the frozen fixtures; nothing here imports
 the modules under test, except that witness_by_loop decides each of its
 candidates with semantics.is_valid to judge the one-search witness,
 cells_by_recursion walks clog.branches' IR with the enumerator's own
-feasibility check to judge the order of the explicit-stack walk, and
+feasibility check to judge the order of the explicit-stack walk,
 countermodel_by_refutation runs the refutation test on every cell of
-clog.branches' walk to judge which cells the one search skips.  The
-parser judge, parse_tracking_offsets, builds its formulas with syntax's
-node classes and sugar and raises syntax.ParseError.
+clog.branches' walk to judge which cells the one search skips, and
+structure_tables_by_fractions converts table values with
+clog.rationals.rat.  The parser judge, parse_tracking_offsets, builds its
+formulas with syntax's node classes and sugar and raises syntax.ParseError.
 """
 
 import itertools
 import math
 import re
+import types
 from fractions import Fraction
 
 from clog import syntax
+from clog.rationals import rat
 
 
 def exact(x):
@@ -536,6 +539,115 @@ def pointwise_fractions(phi, env, family, ranging=frozenset()):
             tables.append(table)
         roots.append(tables[-1])
     return names[-1], roots
+
+
+# --- the structure load check as it stood on Fractions -----------------------
+
+
+def lipschitz_slacks_fractions(structure):
+    """Every table's modulus slack on Fractions, one argument slot changed at
+    a time: (kind, name, slot, key, swapped, slack), slack being the gap
+    between the two table values (a distance, for a function) minus the
+    slot's Lipschitz constant times the distance between the changed
+    arguments, read from the structure's tables as they are now."""
+    sig = structure.signature
+    metric = structure.metric
+    for kind, moduli, tables in (
+        ("predicate", sig.predicates, structure.predicates),
+        ("function", sig.functions, structure.functions),
+    ):
+        for name, lam in moduli.items():
+            table = tables[name]
+            for slot, bound in enumerate(lam):
+                for key in itertools.product(structure.universe, repeat=len(lam)):
+                    for other in structure.universe:
+                        if other == key[slot]:
+                            continue  # slack 0: no gap, no distance
+                        swapped = key[:slot] + (other,) + key[slot + 1:]
+                        if kind == "predicate":
+                            gap = abs(table[key] - table[swapped])
+                        else:
+                            gap = metric[table[key], table[swapped]]
+                        slack = gap - bound * metric[key[slot], other]
+                        yield kind, name, slot, key, swapped, slack
+
+
+def structure_tables_by_fractions(signature, universe, predicates=None,
+                                  functions=None, metric=None):
+    """FiniteLStructure's load check on Fractions, as it stood before it
+    moved to integers: (metric, predicates, functions) as the structure
+    stores them, or the ValueError or TypeError the check raises first.
+    Values are converted with clog.rationals.rat, so a float is refused
+    with the package's text; every comparison is between Fractions."""
+    universe = tuple(str(u) for u in universe)
+    if not universe:
+        raise ValueError("empty universe")
+    if len(set(universe)) != len(universe):
+        raise ValueError("duplicate universe elements")
+    n = len(universe)
+    if metric is None and n == 1:
+        metric = [[0]]
+    if metric is None or len(metric) != n or any(len(row) != n for row in metric):
+        raise ValueError("metric must be an %dx%d table" % (n, n))
+    d = {}
+    for i, a in enumerate(universe):
+        for j, b in enumerate(universe):
+            v = rat(metric[i][j])
+            if not 0 <= v <= 1:
+                raise ValueError("metric value %s outside [0,1]" % (v,))
+            d[a, b] = v
+    for i, a in enumerate(universe):
+        if d[a, a] != 0:
+            raise ValueError("d(%s,%s) must be 0" % (a, a))
+        for b in universe[i + 1:]:
+            if d[a, b] != d[b, a]:
+                raise ValueError("metric not symmetric at (%s,%s)" % (a, b))
+            if d[a, b] == 0:
+                raise ValueError("distinct elements %s,%s at distance 0" % (a, b))
+    for a in universe:
+        for b in universe:
+            for c in universe:
+                if d[a, c] > d[a, b] + d[b, c]:
+                    raise ValueError(
+                        "triangle inequality fails on (%s,%s,%s)" % (a, b, c))
+    preds = {}
+    for name, lam in signature.predicates.items():
+        table = (predicates or {}).get(name)
+        if table is None:
+            raise ValueError("missing table for predicate %r" % name)
+        out = preds[name] = {}
+        for key in itertools.product(universe, repeat=len(lam)):
+            if key not in table:
+                raise ValueError("predicate %r has no value at %r" % (name, key))
+            v = rat(table[key])
+            if not 0 <= v <= 1:
+                raise ValueError("predicate %r value %s outside [0,1]" % (name, v))
+            out[key] = v
+        if len(table) != len(out):
+            raise ValueError("predicate %r table has stray entries" % name)
+    funcs = {}
+    for name, lam in signature.functions.items():
+        table = (functions or {}).get(name)
+        if table is None:
+            raise ValueError("missing table for function %r" % name)
+        out = funcs[name] = {}
+        for key in itertools.product(universe, repeat=len(lam)):
+            if key not in table:
+                raise ValueError("function %r has no value at %r" % (name, key))
+            v = str(table[key])
+            if v not in universe:
+                raise ValueError("function %r maps %r outside the universe" % (name, key))
+            out[key] = v
+        if len(table) != len(out):
+            raise ValueError("function %r table has stray entries" % name)
+    tables = types.SimpleNamespace(signature=signature, universe=universe, metric=d,
+                                   predicates=preds, functions=funcs)
+    for kind, name, slot, key, swapped, slack in lipschitz_slacks_fractions(tables):
+        if slack > 0:
+            raise ValueError(
+                "%s %r violates its modulus in slot %d between %r and %r"
+                % (kind, name, slot, key, swapped))
+    return d, preds, funcs
 
 
 # --- the parser as it stood with position-tracking tokens ----------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -233,6 +234,130 @@ def test_modulus_violation_texts_and_residuals():
     report = rd.check_R_axioms(fam, secs)
     assert report["R1_P"] == rat(3, 8)
     assert report["R1_f"] == rat(7, 8)
+
+
+JUDGE_MODULI = [rat(0), rat(1), rat(2), rat(1, 2), rat(3, 7)]
+
+
+def judge_case(rng):
+    """A signature and FiniteLStructure's arguments over 1-5 elements: a
+    metric closed under shortest paths from edge lengths with mixed
+    denominators (left open one time in five), a unary P and now and then a
+    binary Q repaired to their moduli, now and then a unary f (constant,
+    identity or any map); then up to two corruptions, each a broken
+    diagonal, triangle, symmetry, separation, range or modulus, or a float
+    entry."""
+    n = rng.randint(1, 5)
+    ids = ["e%d" % i for i in range(n)]
+    d = [[rat(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        den = rng.choice([1, 2, 3, 4, 6, 8, 12])
+        d[i][j] = d[j][i] = rat(rng.randint(1, den), den)
+    if rng.random() < 0.8:
+        for k, i, j in itertools.product(range(n), repeat=3):
+            d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    lam_p = rng.choice(JUDGE_MODULI)
+    base = {u: oracles.random_rational(rng) for u in ids}
+    predicates = {"P": {
+        (u,): min(base[v] + lam_p * d[i][j] for j, v in enumerate(ids))
+        for i, u in enumerate(ids)}}
+    moduli = {"P": [lam_p]}
+    if rng.random() < 0.5:
+        lam = moduli["Q"] = [rng.choice(JUDGE_MODULI), rng.choice(JUDGE_MODULI)]
+        base = {k: oracles.random_rational(rng) for k in itertools.product(ids, repeat=2)}
+        pairs = list(itertools.product(range(n), repeat=2))
+        predicates["Q"] = {
+            (ids[i], ids[j]): min(base[ids[k], ids[m]] + lam[0] * d[i][k]
+                                  + lam[1] * d[j][m] for k, m in pairs)
+            for i, j in pairs}
+    functions, function_moduli = {}, {}
+    if rng.random() < 0.5:
+        function_moduli["f"] = [rng.choice(JUDGE_MODULI)]
+        target = rng.choice(ids)
+        pick = rng.choice([lambda u: target, lambda u: u, lambda u: rng.choice(ids)])
+        functions["f"] = {(u,): pick(u) for u in ids}
+    sig = Signature(functions=function_moduli, predicates=moduli)
+    kinds = ["diagonal", "range", "modulus", "float"] + [
+        "triangle", "symmetry", "separation"] * (n > 1)
+    for kind in rng.sample(kinds, rng.choice([0, 1, 1, 2])):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        table = predicates[rng.choice(sorted(predicates))]
+        key = rng.choice(sorted(table))
+        if kind == "diagonal":
+            d[i][i] = rat(1, 8)
+        elif kind == "triangle":
+            d[i][j] = d[j][i] = rng.choice([rat(1), rat(1, 97), d[i][j] * 3 / 2])
+        elif kind == "symmetry":
+            d[i][j] = rat(rng.randint(1, 8), 8)
+        elif kind == "separation":
+            d[i][j] = d[j][i] = rat(0)
+        elif kind == "range":
+            value = rng.choice([rat(5, 4), rat(-1, 3), rat(9, 7)])
+            if rng.random() < 0.5:
+                d[i][j] = value
+            else:
+                table[key] = value
+        elif kind == "modulus":
+            if functions and rng.random() < 0.5:
+                functions["f"][rng.choice(ids),] = rng.choice(ids)
+            else:
+                table[key] = oracles.random_rational(rng)
+        elif rng.random() < 0.5:
+            d[i][j] = float(d[i][j])
+        else:
+            table[key] = float(table[key])
+    return sig, ids, predicates, functions, d
+
+
+REFUSALS = ("outside [0,1]", "must be 0", "not symmetric", "at distance 0", "triangle",
+            "violates its modulus", "refusing float")
+
+
+def outcome(build):
+    """What build returns, or the type and text of what it raises."""
+    try:
+        return build()
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+
+
+def test_load_check_matches_the_fraction_judge():
+    """FiniteLStructure's integer load check accepts and refuses what the
+    Fraction validator it replaced does, with the same exception type and
+    text, and stores the same tables; on tables altered after load,
+    check_R_axioms' R1 is the judge's largest slack per kind."""
+
+    def load(*args):
+        s = rd.FiniteLStructure(*args)
+        return s.metric, s.predicates, s.functions
+
+    rng = random.Random(2024)
+    texts = collections.Counter()
+    for _ in range(1200):
+        sig, ids, predicates, functions, d = judge_case(rng)
+        args = (sig, ids, predicates, functions, d)
+        expected = outcome(lambda: oracles.structure_tables_by_fractions(*args))
+        assert outcome(lambda: load(*args)) == expected, args
+        if expected[0] in (ValueError, TypeError):
+            texts[next(p for p in REFUSALS if p in expected[1])] += 1
+            continue
+        texts["loaded"] += 1
+        altered = [rd.FiniteLStructure(*args) for _ in range(2)]
+        for s in altered:
+            u, v = rng.choice(ids), rng.choice(ids)
+            s.predicates["P"][u,] = oracles.random_rational(rng)
+            if "f" in s.functions:
+                s.functions["f"][u,] = v
+            if u != v:
+                s.metric[u, v] = s.metric[v, u] = rat(rng.randint(1, 12), 12)
+        fam = rd.RandomFamily(FiniteProbSpace.uniform(["w1", "w2"]), altered)
+        secs = [rd.Section(fam, [rng.choice(ids), rng.choice(ids)]) for _ in range(2)]
+        report = rd.check_R_axioms(fam, secs)
+        for kind, r1 in (("predicate", "R1_P"), ("function", "R1_f")):
+            assert report[r1] == max([rat(0)] + [
+                slack for s in altered
+                for k, *_, slack in oracles.lipschitz_slacks_fractions(s) if k == kind])
+    assert texts["loaded"] >= 200 and min(texts[p] for p in REFUSALS) >= 20, texts
 
 
 def test_function_tables_and_terms():
@@ -681,6 +806,44 @@ def test_los_check_weighting_errors():
         rd.los_check(phi, {}, fam, weighting=[rat(1, 2), rat(1, 4)])
     with pytest.raises(ValueError):
         rd.los_check(phi, {}, fam, weighting=[rat(3, 2), rat(-1, 2)])
+
+
+def test_weight_sums_match_fraction_sums():
+    """FiniteProbSpace and los_check's weighting take exactly the weights
+    whose Fraction sum is 1, over mixed denominators, and refuse the others
+    with the same texts in the same order."""
+    rng = random.Random(31)
+    m = rd.FiniteLStructure(SIG, ["u"], predicates={"P": {("u",): rat(1, 3)}})
+    phi = parse_lformula("P(x)")
+    for _ in range(300):
+        ws = oracles.random_weights(rng, rng.randint(1, 4))
+        for _ in range(rng.randint(0, 3)):  # one weight split in two
+            i, b = rng.randrange(len(ws)), rng.randint(2, 9)
+            a = rng.randint(1, b - 1)
+            ws[i:i + 1] = [ws[i] * a / b, ws[i] * (b - a) / b]
+        if rng.random() < 0.5:
+            ws[rng.randrange(len(ws))] += rat(rng.choice([-1, 1]), rng.randint(50, 99))
+        if min(ws) <= 0:
+            space_error = "non-positive weight"
+        else:
+            space_error = None if sum(ws) == 1 else "weights must sum to exactly 1"
+        weighting_error = ("weights must be nonnegative" if min(ws) < 0 else
+                           None if sum(ws) == 1 else "weights must sum to exactly 1")
+        atoms = [("w%d" % i, w) for i, w in enumerate(ws)]
+        if space_error is None:
+            assert FiniteProbSpace(atoms).weights == tuple(ws)
+        else:
+            with pytest.raises(ValueError, match=space_error):
+                FiniteProbSpace(atoms)
+        fam = rd.RandomFamily(
+            FiniteProbSpace.uniform([a for a, _ in atoms]), [m] * len(ws))
+        x = rd.Section(fam, ["u"] * len(ws))
+        if weighting_error is None:
+            assert rd.los_check(phi, {"x": x}, fam, weighting=ws) == (
+                rat(1, 3), rat(1, 3), True)
+        else:
+            with pytest.raises(ValueError, match=weighting_error):
+                rd.los_check(phi, {"x": x}, fam, weighting=ws)
 
 
 # ---- type measures ---------------------------------------------------------
