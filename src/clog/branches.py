@@ -16,7 +16,9 @@ carried point tells which sides hold there.  A side that holds only on a
 face of the box is skipped when it comes second: the positive side of 0 - a
 holds only where a = 0, the zero side holds everywhere, and both take the
 same value on that face.  So the chain 0 - a0 - ... - a(k-1) is one cell,
-not 2^k.
+not 2^k.  The side, face and midpoint-screen tests build no Fraction: each is
+the sign of an integer sum over a key row, and the point is carried beside
+its Fractions as integer numerators over one denominator, made once per point.
 
 The depth-first search is one loop over an explicit stack of frames, one
 per constraint on the current path: the key to delete on the way back and
@@ -121,6 +123,23 @@ class Affine:
         return " + ".join(parts)
 
 
+def _integer_point(point):
+    """The Fraction point as (integer numerators by name, one denominator)."""
+    d = math.lcm(*[q.denominator for q in point.values()])
+    return {v: q.numerator * (d // q.denominator) for v, q in point.items()}, d
+
+
+def _key_at(key, ipoint):
+    """The key's row at the integer point: a positive multiple of the value."""
+    (ints, const), (nums, d) = key, ipoint
+    return const * d + sum([x * nums[v] for v, x in ints])
+
+
+def _key_box_max(key):
+    """The key's row at its best box corner: the sign of Affine.box_max."""
+    return key[1] + sum([x for _, x in key[0] if x > 0])
+
+
 # --- term IR -----------------------------------------------------------------
 # A leaf is an Affine; the other nodes name their children by position.
 
@@ -160,6 +179,7 @@ class CellEnumerator:
         self.variables = list(variables)
         center = rat(1, 2)
         self._center = {v: center for v in self.variables}
+        self._icenter = _integer_point(self._center)
 
     # ---- feasibility ----------------------------------------------------
 
@@ -194,7 +214,8 @@ class CellEnumerator:
         if not ok:
             return None
         mid = {v: (lo[v] + hi[v]) / 2 for v in self.variables}
-        if all(aff.evaluate(mid) >= 0 for aff in constraints.values()):
+        at = _integer_point(mid)
+        if all(_key_at(key, at) >= 0 for key in constraints):
             return mid
         res = solve_lp(len(self.variables), self._lp_rows(constraints))
         return dict(zip(self.variables, res.point)) if res.status == OPTIMAL else None
@@ -213,18 +234,20 @@ class CellEnumerator:
 
         The search is one loop over an explicit stack, so a term may hold
         any number of splits.  Going forward, each split that adds a
-        constraint takes the side holding at the carried point and pushes a
-        frame: the key it added, and the other side with the point carried
-        in, or None once that side is taken too.  After a cell, the walk
-        pops frames, deleting their keys, down to the deepest split whose
-        other side is feasible, and goes forward again from there.
+        constraint takes the side whose key row is >= 0 at the carried point,
+        an integer test, and pushes a frame: the key it added, and the other
+        side with the point carried in, or None once that side is taken too.
+        After a cell, the walk pops frames, deleting their keys, down to the
+        deepest split whose other side is more than a face (its key row's box
+        maximum is positive) and feasible (at the point, the integer midpoint
+        screen's point or an LP vertex), and goes forward from there.
         """
         nodes, roots = term
         values = [None] * len(nodes)  # each Affine under the current sides
         constraints = {}  # key -> Affine (each meaning affine >= 0)
         zero = Affine.constant(0)
         stack = []  # (key to delete, other side or None), one per split added
-        i, point = 0, dict(self._center)
+        i, point, ipoint = 0, dict(self._center), self._icenter
         while True:
             while i < len(nodes):
                 n = nodes[i]
@@ -232,9 +255,16 @@ class CellEnumerator:
                 if t is Affine:
                     values[i] = n
                 elif t is PLComb:
-                    total = Affine.constant(n.const)
-                    for k, j in n.terms:
-                        total = total.plus(values[j].scale(rat(k)))
+                    if len(n.terms) == 1:  # neg or half: one scaled copy
+                        ((k, j),) = n.terms
+                        total = values[j]
+                        total = total.negated() if k == -1 else total.scale(rat(k))
+                        if n.const:
+                            total.const += n.const
+                    else:
+                        total = Affine.constant(n.const)
+                        for k, j in n.terms:
+                            total = total.plus(values[j].scale(rat(k)))
                     values[i] = total
                 else:  # a PLMonus: zero where diff <= 0, else diff
                     diff = values[n.left].minus(values[n.right])
@@ -255,15 +285,15 @@ class CellEnumerator:
                     elif key1 in constraints:
                         values[i] = diff
                     else:  # first the side holding at the carried point
-                        d = diff.evaluate(point)
+                        d = _key_at(key1, ipoint)
                         if d <= 0:
                             constraints[key0] = diff.negated()
                             values[i] = zero
-                            stack.append((key0, (i, diff, 1, key1, point, d)))
+                            stack.append((key0, (i, diff, 1, key1, point, ipoint, d)))
                         else:
                             constraints[key1] = diff
                             values[i] = diff
-                            stack.append((key1, (i, diff, 0, key0, point, d)))
+                            stack.append((key1, (i, diff, 0, key0, point, ipoint, d)))
                 i += 1
             yield Cell(dict(constraints), tuple(values[r] for r in roots), point)
             while stack:
@@ -271,16 +301,17 @@ class CellEnumerator:
                 del constraints[key]
                 if other is None:
                     continue
-                i, diff, si, key, point, d = other
-                guard = diff if si else diff.negated()
-                if guard.box_max() <= 0:
+                i, diff, si, key, point, ipoint, d = other
+                if _key_box_max(key) <= 0:
                     continue  # only a face: the first side holds on the whole box
+                guard = diff if si else diff.negated()
                 if d != 0:  # the carried point is off this side
                     trial = dict(constraints)
                     trial[key] = guard
                     point = self.feasible_point(trial)
                     if point is None:
                         continue
+                    ipoint = _integer_point(point)
                 constraints[key] = guard
                 values[i] = diff if si else zero
                 stack.append((key, None))

@@ -212,9 +212,8 @@ def recorded_monus_self():
     if _MONUS_SELF is None:
         from importlib import resources
 
-        text = (
-            resources.files("clog").joinpath("data/monus_self.json").read_text()
-        )
+        data = resources.files("clog").joinpath("data/monus_self.json")
+        text = data.read_text(encoding="utf-8")
         _MONUS_SELF = proof_from_json(json.loads(text))
     return _MONUS_SELF
 

@@ -3,9 +3,9 @@
 Truth functions are piecewise affine in the atom values, so suprema,
 validity (value 0 everywhere), satisfiability, entailment and its
 finite-implication witness are decided exactly by enumerating the affine
-cells of the formula(s) and optimizing with a rational LP on each (see
-clog.branches); an integer grid pre-pass (clog.kernel) short-circuits most
-of is_valid's refutations with an exact counterexample before any LP runs.
+cells of the formula(s) and optimizing with a rational LP on each
+(clog.branches, imported on the first cell search); an integer grid pre-pass
+(clog.kernel) finds most of is_valid's exact counterexamples before any LP.
 
 Each entry point traverses its formulas once, with syntax.subformulas, and
 reads the budget count, atom order, grid sweep and cell IR off that result.
@@ -23,7 +23,6 @@ import itertools
 import math
 
 from . import syntax
-from .branches import Affine, CellEnumerator, PLComb, PLMonus
 from .kernel import KernelUnsupported, grid_max
 from .rationals import ZERO, ONE, HALF, rat, is_unit_interval
 
@@ -80,6 +79,8 @@ def _ir(nodes, pos):
     """The cell IR of subformulas(...) positions: one node per position,
     naming its children by position, so common subformulas become one node
     and their branches are enumerated once."""
+    from .branches import Affine, PLComb, PLMonus
+
     return syntax.fold(nodes, pos, {
         syntax.Const0: lambda f: Affine.constant(0),
         syntax.Atom: lambda f: Affine.variable(f.name),
@@ -142,6 +143,8 @@ def enumerate_branches(formula, budget=None):
     """Feasible affine cells of the formula that cover its atom box; a face
     on which only a split's second side holds is left to the first side's
     cells, not listed on its own."""
+    from .branches import CellEnumerator
+
     nodes, pos, atoms = _traverse([formula], budget)
     cells = CellEnumerator(atoms).iter_cells((_ir(nodes, pos), [len(nodes) - 1]))
     return [
@@ -152,6 +155,8 @@ def enumerate_branches(formula, budget=None):
 
 def sup_value(formula, budget=None):
     """(exact supremum over the unit box, witnessing assignment)."""
+    from .branches import CellEnumerator
+
     nodes, pos, atoms = _traverse([formula], budget)
     # no formula exceeds 1
     return CellEnumerator(atoms).maximum(_ir(nodes, pos), ONE)
@@ -180,6 +185,8 @@ def _search(atoms, ir, roots, cap):
     of reach for good.  A cell where that step ends with m <= cap holds no
     countermodel; the refutation test runs on the others, and on every
     cell without a cap or a premise."""
+    from .branches import Affine, CellEnumerator
+
     enum = CellEnumerator(atoms)
     step = cap is not None and len(roots) > 1
     m = 0
@@ -240,6 +247,8 @@ def entailment(premises, goal, cap=None, budget=None):
     nodes, pos, atoms = _traverse(formulas, budget)
     ir = _ir(nodes, pos)
     if goal is None:
+        from .branches import Affine
+
         ir.append(Affine.constant(1))
     roots = [len(nodes) if goal is None else pos[id(goal)]]
     return _search(atoms, ir, roots + [pos[id(p)] for p in premises], cap)

@@ -8,7 +8,8 @@ sweep) must agree with these on the frozen fixtures; nothing here imports
 the modules under test, except that witness_by_loop decides each of its
 candidates with semantics.is_valid to judge the one-search witness,
 cells_by_recursion walks clog.branches' IR with the enumerator's own
-feasibility check to judge the order of the explicit-stack walk,
+feasibility check (or feasible_point_by_fractions, which calls
+clog.branches.solve_lp) to judge the order of the explicit-stack walk,
 countermodel_by_refutation runs the refutation test on every cell of
 clog.branches' walk to judge which cells the one search skips, and
 structure_tables_by_fractions converts table values with
@@ -217,6 +218,33 @@ def countermodel_by_refutation(atoms, term):
         if point is not None:
             return point
     return None
+
+
+def feasible_point_by_fractions(enum, constraints):
+    """CellEnumerator.feasible_point with its interval and midpoint screens
+    in Fractions, evaluating the Affines rather than their keys: the same
+    point and the same clog.branches.solve_lp call, if any."""
+    from clog import branches
+    from clog.simplex import OPTIMAL
+
+    lo = {v: Fraction(0) for v in enum.variables}
+    hi = {v: Fraction(1) for v in enum.variables}
+    for aff in constraints.values():
+        if not aff.coeffs and aff.const < 0:
+            return None
+        if len(aff.coeffs) == 1:
+            ((v, c),) = aff.coeffs.items()
+            if c > 0:
+                lo[v] = max(lo[v], -aff.const / c)
+            else:
+                hi[v] = min(hi[v], -aff.const / c)
+    if any(lo[v] > hi[v] for v in enum.variables):
+        return None
+    mid = {v: (lo[v] + hi[v]) / 2 for v in enum.variables}
+    if all(aff.evaluate(mid) >= 0 for aff in constraints.values()):
+        return mid
+    res = branches.solve_lp(len(enum.variables), enum._lp_rows(constraints))
+    return dict(zip(enum.variables, res.point)) if res.status == OPTIMAL else None
 
 
 def cells_by_recursion(enum, term):

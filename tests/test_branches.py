@@ -1,11 +1,13 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import oracles
-from clog import semantics
+from clog import branches, semantics
 from clog.branches import Affine, CellEnumerator
 from clog.rationals import ONE
+from clog.simplex import OPTIMAL, solve_lp
 from clog.syntax import Atom, Const0, Half, Monus, Neg
 
 
@@ -149,3 +151,86 @@ def test_the_stack_walk_yields_the_recursive_walks_cells():
         moved += sum(c[2] != enum._center for c in got)
     assert cells > 1200 and moved > 250
 
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def test_the_integer_tests_have_the_signs_of_the_fraction_ones():
+    """The key row at the integer point, and at its best box corner, have
+    the signs of Affine.evaluate and Affine.box_max, on points with small
+    denominators and on LP vertices; some values are exactly 0."""
+    rng = random.Random(31)
+    names = ["p", "q", "r", "s"]
+    vertices, zeros, faces = [], 0, 0
+    while len(vertices) < 200:
+        rows = [random_affine(rng, names) for _ in range(rng.randint(1, 5))]
+        res = solve_lp(len(names), [([a.coeffs.get(v, 0) for v in names], a.const)
+                                    for a in rows],
+                       objective=[rng.randint(-5, 5) for _ in names])
+        if res.status == OPTIMAL:
+            vertices.append(dict(zip(names, res.point)))
+    big = max(math.lcm(*[x.denominator for x in p.values()]) for p in vertices)
+    assert big > 100
+    for case in range(4000):
+        if case % 2:
+            point = rng.choice(vertices)
+        else:
+            point = {v: Fraction(rng.randint(0, 12), 12) / rng.randint(1, 7)
+                     for v in names}
+        a = random_affine(rng, names)
+        if case % 5 == 0:  # through the point
+            a = Affine(a.coeffs, a.const - a.evaluate(point))
+        elif case % 5 == 1:  # 0 at the best box corner
+            a = Affine(a.coeffs, a.const - a.box_max())
+        key = a.key()
+        value = branches._key_at(key, branches._integer_point(point))
+        assert sign(value) == sign(a.evaluate(point))
+        assert sign(branches._key_box_max(key)) == sign(a.box_max())
+        zeros += value == 0
+        faces += a.box_max() == 0
+    assert zeros > 700 and faces > 700
+
+
+def walk_cases():
+    """The 600 terms of test_the_stack_walk_yields_the_recursive_walks_cells,
+    drawn the same way: (atom names, term)."""
+    rng = random.Random(22)
+    for case in range(600):
+        atoms = ["p%d" % i for i in range(rng.randint(2, 4))]
+        if case % 3 == 0:
+            roots = [oracles.random_core_formula(rng, 6, atoms, monus_cap=8)]
+        elif case % 3 == 1:
+            roots = shared_terms(rng, atoms)
+        else:
+            roots = face_chain(rng, atoms)
+        nodes, pos, names = semantics._traverse(roots)
+        yield names, (semantics._ir(nodes, pos), [pos[id(f)] for f in roots])
+
+
+def test_the_integer_walk_makes_the_fraction_walks_lps(monkeypatch):
+    """iter_cells against the recursive judge run with Fraction screens
+    throughout: the same cells, and the same solve_lp calls with the same
+    arguments in the same order."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(branches, "solve_lp", recording)
+    lps = 0
+    for names, term in walk_cases():
+        enum = CellEnumerator(names)
+        got = [fields(c) for c in enum.iter_cells(term)]
+        got_calls = calls[:]
+        del calls[:]
+        judge = CellEnumerator(names)
+        judge.feasible_point = functools.partial(
+            oracles.feasible_point_by_fractions, judge)
+        want = [fields(c) for c in oracles.cells_by_recursion(judge, term)]
+        assert got == want and got_calls == calls
+        lps += len(calls)
+        del calls[:]
+    assert lps > 150

@@ -893,3 +893,37 @@ def test_valid_imports_only_the_standard_library(tmp_path):
     assert {m for m in new if m.startswith("clog")} - cli_own == {
         "clog.proofs", "clog.syntax"}
 
+
+def test_a_grid_refutation_loads_no_cell_layer():
+    """`valid -e p` is refuted by the integer grid pre-pass, so neither the
+    cell search nor the simplex is imported."""
+    out, new = _loaded_by(["valid", "-e", "p"])
+    assert out == ['{"cmd":"valid","status":"fail","valid":false,'
+                   '"countermodel":{"p":"1/8"},"value":"1/8"}']
+    assert "clog.semantics" in new
+    assert not new & {"clog.branches", "clog.simplex"}
+
+
+def test_the_benchmark_mix_runs_clean_under_encoding_warnings(
+        tmp_path, monkeypatch):
+    """Every command of the benchmark's command mix, each in its own
+    process with EncodingWarning on and raised as an error: the pinned line
+    and exit code, and nothing on stderr.  A file read in the locale's
+    encoding fails here."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    for name, data in workloads.Cli.fixed_inputs.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONWARNDEFAULTENCODING="1",
+               PYTHONWARNINGS="error::EncodingWarning")
+    env.pop("CLOG_BRANCH_BUDGET", None)
+    for argv, line, code in workloads.CLI_MIX:
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a
+                for a in argv]
+        done = subprocess.run([sys.executable, "-m", "clog", *argv], env=env,
+                              capture_output=True, encoding="utf-8")
+        assert (done.stdout.splitlines(), done.returncode, done.stderr) == (
+            [line], code, ""), argv
+
