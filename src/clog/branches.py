@@ -16,9 +16,17 @@ carried point tells which sides hold there.  A side that holds only on a
 face of the box is skipped when it comes second: the positive side of 0 - a
 holds only where a = 0, the zero side holds everywhere, and both take the
 same value on that face.  So the chain 0 - a0 - ... - a(k-1) is one cell,
-not 2^k.  The side, face and midpoint-screen tests build no Fraction: each is
-the sign of an integer sum over a key row, and the point is carried beside
-its Fractions as integer numerators over one denominator, made once per point.
+not 2^k.
+
+Each affine row is integers: numerators by atom name and a constant
+numerator over one positive denominator.  So the walk's sums, differences,
+scalings and keys build no Fraction, and neither do its side, face and
+midpoint-screen tests: each is the sign of an integer sum over a key row,
+and the point is carried beside its Fractions as integer numerators over
+one denominator, made once per point.  solve_lp is handed each row's
+rational values, built once per row: it weighs a row in phase 1 by the lcm
+of the row's denominators, so a row rescaled to integers could move the
+vertex it returns.
 
 The depth-first search is one loop over an explicit stack of frames, one
 per constraint on the current path: the key to delete on the way back and
@@ -37,90 +45,136 @@ constraint.
 """
 
 import math
+from fractions import Fraction
+from types import MappingProxyType
 
 from .rationals import ZERO, ONE, rat
 from .simplex import OPTIMAL, POSITIVE, solve_lp
 
+_new = object.__new__
+
 
 class Affine:
-    """Sum of coeff*var plus a constant, all rational."""
+    """Sum of coeff*var plus a constant, as integers over one denominator:
+    numerators keyed by atom name (`nums`), a constant numerator (`num`) and
+    a positive denominator (`den`).  `coeffs` and `const` are read-only
+    Fraction views, built once per row; the walk's arithmetic, its keys and
+    its sign tests never build a Fraction.  A row never changes once made,
+    so rows may share their `nums` dict."""
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("nums", "num", "den", "_view")
 
     def __init__(self, coeffs=None, const=ZERO):
-        self.coeffs = coeffs or {}
-        self.const = const
+        coeffs = {v: rat(c) for v, c in (coeffs or {}).items()}
+        const = rat(const)
+        den = math.lcm(const.denominator, *[c.denominator for c in coeffs.values()])
+        self.nums = {
+            v: c.numerator * (den // c.denominator) for v, c in coeffs.items()}
+        self.num = const.numerator * (den // const.denominator)
+        self.den = den
 
     @staticmethod
     def constant(c):
-        return Affine({}, rat(c))
+        c = rat(c)
+        return _affine({}, c.numerator, c.denominator)
 
     @staticmethod
     def variable(name):
-        return Affine({name: ONE}, ZERO)
+        return _affine({name: 1}, 0, 1)
+
+    @property
+    def coeffs(self):
+        return self._fractions()[0]
+
+    @property
+    def const(self):
+        return self._fractions()[1]
+
+    def _fractions(self):
+        try:
+            return self._view
+        except AttributeError:
+            den = self.den
+            coeffs = {v: Fraction(x, den) for v, x in self.nums.items()}
+            self._view = view = (MappingProxyType(coeffs), Fraction(self.num, den))
+            return view
 
     def scale(self, k):
-        if k == 0:
-            return Affine({}, ZERO)
-        return Affine({v: k * c for v, c in self.coeffs.items()}, k * self.const)
+        """k * self, k an int or a Fraction."""
+        p, q = k.numerator, k.denominator
+        if p == 0:
+            return _affine({}, 0, 1)
+        nums = self.nums if p == 1 else {v: p * x for v, x in self.nums.items()}
+        return _affine(nums, p * self.num, q * self.den)
 
-    # a coefficient that self lacks is copied (or negated), not added to 0:
-    # the same value, one Fraction fewer
     def plus(self, other):
-        coeffs = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            if v not in coeffs:
-                coeffs[v] = c
-            elif (s := coeffs[v] + c) == 0:
-                del coeffs[v]
-            else:
-                coeffs[v] = s
-        return Affine(coeffs, self.const + other.const)
+        return self._add(other, 1)
 
     def minus(self, other):
-        coeffs = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            if v not in coeffs:
-                coeffs[v] = -c
-            elif (s := coeffs[v] - c) == 0:
-                del coeffs[v]
+        return self._add(other, -1)
+
+    # over the lcm of the two denominators; a numerator that self lacks is
+    # copied (or negated), and one that cancels is dropped
+    def _add(self, other, sign):
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, a, b = d1, 1, sign
+            nums = dict(self.nums)
+        else:
+            den = math.lcm(d1, d2)
+            a, b = den // d1, sign * (den // d2)
+            nums = {v: a * x for v, x in self.nums.items()}
+        for v, x in other.nums.items():
+            if v not in nums:
+                nums[v] = b * x
+            elif (s := nums[v] + b * x) == 0:
+                del nums[v]
             else:
-                coeffs[v] = s
-        return Affine(coeffs, self.const - other.const)
+                nums[v] = s
+        return _affine(nums, a * self.num + b * other.num, den)
 
     def negated(self):
-        """-self; the same Fractions as scale(-ONE)."""
-        return Affine({v: -c for v, c in self.coeffs.items()}, -self.const)
+        """-self; the same values as scale(-1)."""
+        return _affine({v: -x for v, x in self.nums.items()}, -self.num, self.den)
 
     def evaluate(self, point):
-        return sum(
-            (c * point[v] for v, c in self.coeffs.items()), start=ZERO
-        ) + self.const
+        """The value at a point of Fractions, as a Fraction."""
+        return Fraction(
+            sum([x * point[v] for v, x in self.nums.items()], start=self.num),
+            self.den,
+        )
+
+    def at(self, ipoint):
+        """The value at an integer point (numerators P over d, as
+        _integer_point makes it) times den * d: its sign is the value's."""
+        nums, d = ipoint
+        return self.num * d + sum([x * nums[v] for v, x in self.nums.items()])
 
     def box_max(self):
         """Largest value on the unit box (an upper bound on any cell)."""
-        return self.const + sum(
-            (c for c in self.coeffs.values() if c > 0), start=ZERO
-        )
+        top = self.num + sum([x for x in self.nums.values() if x > 0])
+        return Fraction(top, self.den)
 
     def key(self):
-        """Canonical form of the constraint self >= 0: the coefficients and
-        constant times the lcm of their denominators, gcd-reduced.  Each
-        is cleared as numerator * (lcm // denominator), in integers only."""
-        const, coeffs = self.const, self.coeffs
-        lcm = math.lcm(const.denominator, *[c.denominator for c in coeffs.values()])
-        ints = {v: c.numerator * (lcm // c.denominator) for v, c in coeffs.items()}
-        const = const.numerator * (lcm // const.denominator)
-        g = math.gcd(const, *ints.values())
+        """Canonical form of the constraint self >= 0: the numerators and
+        constant numerator, gcd-reduced (den > 0 only scales them)."""
+        nums, num = self.nums, self.num
+        g = math.gcd(num, *nums.values())
         if g > 1:
-            ints = {v: x // g for v, x in ints.items()}
-            const //= g
-        return (tuple(sorted(ints.items())), const)
+            return tuple(sorted([(v, x // g) for v, x in nums.items()])), num // g
+        return tuple(sorted(nums.items())), num
 
     def __repr__(self):
         parts = ["%s*%s" % (c, v) for v, c in sorted(self.coeffs.items())]
         parts.append(str(self.const))
         return " + ".join(parts)
+
+
+def _affine(nums, num, den):
+    """The row nums . x + num over den, from integers, den > 0."""
+    a = _new(Affine)
+    a.nums, a.num, a.den = nums, num, den
+    return a
 
 
 def _integer_point(point):
@@ -164,12 +218,13 @@ class PLMonus:
 class Cell:
     """A polytope (within the unit box) on which the term is one affine."""
 
-    __slots__ = ("constraints", "values", "point")
+    __slots__ = ("constraints", "values", "point", "ipoint")
 
-    def __init__(self, constraints, values, point):
+    def __init__(self, constraints, values, point, ipoint=None):
         self.constraints = constraints  # dict: normalized key -> Affine (>= 0)
         self.values = values  # tuple of Affine, one per enumerated root
         self.point = point  # a feasible point (dict), or None if not yet known
+        self.ipoint = ipoint  # the point as _integer_point gives it, if known
 
 
 class CellEnumerator:
@@ -184,10 +239,11 @@ class CellEnumerator:
     # ---- feasibility ----------------------------------------------------
 
     def _lp_rows(self, constraints):
-        # the Affines' own rows, not their gcd-reduced keys: phase 1 weighs
-        # each row's artificial by that row's scale, so a rescaled row can
-        # leave phase 1 at another vertex, and the carried witness point
-        # (hence the cell order and the countermodels) would move
+        # the Affines' rational rows (their Fraction views, built once per
+        # row), not their numerators or gcd-reduced keys: phase 1 weighs each
+        # row's artificial by the lcm of that row's denominators, so a
+        # rescaled row can leave phase 1 at another vertex, and the carried
+        # witness point (hence the cell order and the countermodels) would move
         return [
             ([aff.coeffs.get(v, ZERO) for v in self.variables], aff.const)
             for aff in constraints.values()
@@ -258,18 +314,21 @@ class CellEnumerator:
                     if len(n.terms) == 1:  # neg or half: one scaled copy
                         ((k, j),) = n.terms
                         total = values[j]
-                        total = total.negated() if k == -1 else total.scale(rat(k))
-                        if n.const:
-                            total.const += n.const
+                        total = total.negated() if k == -1 else total.scale(k)
+                        c = n.const
+                        if c.denominator == 1:  # a new row: add c in place
+                            total.num += c.numerator * total.den
+                        else:
+                            total = total.plus(Affine.constant(c))
                     else:
                         total = Affine.constant(n.const)
                         for k, j in n.terms:
-                            total = total.plus(values[j].scale(rat(k)))
+                            total = total.plus(values[j].scale(k))
                     values[i] = total
                 else:  # a PLMonus: zero where diff <= 0, else diff
                     diff = values[n.left].minus(values[n.right])
-                    if not diff.coeffs:  # constant difference: the side is forced
-                        values[i] = zero if diff.const <= 0 else diff
+                    if not diff.nums:  # constant difference: the side is forced
+                        values[i] = zero if diff.num <= 0 else diff
                         i += 1
                         continue
                     # side 0 is diff <= 0 (value 0), side 1 diff >= 0 (value
@@ -295,7 +354,8 @@ class CellEnumerator:
                             values[i] = diff
                             stack.append((key1, (i, diff, 0, key0, point, ipoint, d)))
                 i += 1
-            yield Cell(dict(constraints), tuple(values[r] for r in roots), point)
+            yield Cell(dict(constraints), tuple(values[r] for r in roots),
+                       point, ipoint)
             while stack:
                 key, other = stack.pop()
                 del constraints[key]
@@ -334,7 +394,7 @@ class CellEnumerator:
             value = cell.values[0]
             if best is not None and value.box_max() <= best:
                 continue
-            if not value.coeffs:  # constant on the cell, any cell point attains it
+            if not value.nums:  # constant on the cell, any cell point attains it
                 got = (value.const, cell.point)
             else:
                 got = self.optimize_cell(cell, value)

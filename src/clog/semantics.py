@@ -20,7 +20,6 @@ a goal iff every assignment making all premises 0 makes the goal 0.
 
 import functools
 import itertools
-import math
 
 from . import syntax
 from .kernel import KernelUnsupported, grid_max
@@ -164,12 +163,13 @@ def sup_value(formula, budget=None):
 
 def _positive_point(enum, cell, objective, zeros=()):
     """A point of the cell, its own or an LP vertex, where the objective is
-    positive and the zeros (affines >= 0 on the cell) are 0, or None."""
+    positive and the zeros (affines >= 0 on the cell) are 0, or None.  The
+    cell's own point is tried in integers, at cell.ipoint."""
     if objective.box_max() <= 0:
         return None
-    point = cell.point
-    if objective.evaluate(point) > 0 and all(z.evaluate(point) == 0 for z in zeros):
-        return point
+    ipoint = cell.ipoint
+    if objective.at(ipoint) > 0 and all(z.at(ipoint) == 0 for z in zeros):
+        return cell.point
     # the zeros are >= 0 on the cell already, so one inequality each pins them
     extra = [z.negated() for z in zeros]
     got = enum.optimize_cell(cell, objective, extra=extra, stop_when_positive=True)
@@ -185,7 +185,7 @@ def _search(atoms, ir, roots, cap):
     of reach for good.  A cell where that step ends with m <= cap holds no
     countermodel; the refutation test runs on the others, and on every
     cell without a cap or a premise."""
-    from .branches import Affine, CellEnumerator
+    from .branches import Affine, CellEnumerator, _integer_point
 
     enum = CellEnumerator(atoms)
     step = cap is not None and len(roots) > 1
@@ -196,10 +196,14 @@ def _search(atoms, ir, roots, cap):
             total = functools.reduce(Affine.plus, premises)
             while (x := _positive_point(
                     enum, cell, goal.minus(total.scale(m)))) is not None:
-                s = total.evaluate(x)
+                # goal(x)/S(x) from the integer values at x, goal.at(ix) =
+                # goal(x)*goal.den*d and total.at(ix) = S(x)*total.den*d
+                ix = cell.ipoint if x is cell.point else _integer_point(x)
+                s = total.at(ix)
                 if not s:  # every premise is 0 at x and the goal is not
                     break
-                m = math.ceil(goal.evaluate(x) / s)
+                # the ceiling; s > 0, S being a sum of truth values at x
+                m = -(-goal.at(ix) * total.den // (s * goal.den))
                 if m > cap:
                     break
             else:

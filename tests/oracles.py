@@ -7,8 +7,10 @@ decision procedures (branch enumeration + rational LP, the integer grid
 sweep) must agree with these on the frozen fixtures; nothing here imports
 the modules under test, except that witness_by_loop decides each of its
 candidates with semantics.is_valid to judge the one-search witness,
-cells_by_recursion walks clog.branches' IR with the enumerator's own
-feasibility check (or feasible_point_by_fractions, which calls
+cells_by_recursion walks clog.branches' IR in FractionAffine rows (the
+Fraction rows that clog.branches.Affine's integer rows are judged against)
+with the enumerator's own feasibility check (or feasible_point_by_fractions,
+which builds its LP rows from those FractionAffines and calls
 clog.branches.solve_lp) to judge the order of the explicit-stack walk,
 countermodel_by_refutation runs the refutation test on every cell of
 clog.branches' walk to judge which cells the one search skips, and
@@ -220,10 +222,93 @@ def countermodel_by_refutation(atoms, term):
     return None
 
 
+class FractionAffine:
+    """Sum of coeff*var plus a constant, all Fractions: the cell walk's
+    affine rows as clog.branches kept them before they became integer
+    numerators over one denominator.  The judge of branches.Affine, and
+    the row arithmetic of cells_by_recursion."""
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs=None, const=Fraction(0)):
+        self.coeffs = coeffs or {}
+        self.const = const
+
+    @staticmethod
+    def constant(c):
+        return FractionAffine({}, rat(c))
+
+    @staticmethod
+    def of(aff):
+        """The Fraction row of a branches.Affine, read off its views."""
+        return FractionAffine(dict(aff.coeffs), aff.const)
+
+    def scale(self, k):
+        if k == 0:
+            return FractionAffine({}, Fraction(0))
+        return FractionAffine({v: k * c for v, c in self.coeffs.items()},
+                              k * self.const)
+
+    def plus(self, other):
+        coeffs = dict(self.coeffs)
+        for v, c in other.coeffs.items():
+            if v not in coeffs:
+                coeffs[v] = c
+            elif (s := coeffs[v] + c) == 0:
+                del coeffs[v]
+            else:
+                coeffs[v] = s
+        return FractionAffine(coeffs, self.const + other.const)
+
+    def minus(self, other):
+        coeffs = dict(self.coeffs)
+        for v, c in other.coeffs.items():
+            if v not in coeffs:
+                coeffs[v] = -c
+            elif (s := coeffs[v] - c) == 0:
+                del coeffs[v]
+            else:
+                coeffs[v] = s
+        return FractionAffine(coeffs, self.const - other.const)
+
+    def negated(self):
+        return FractionAffine({v: -c for v, c in self.coeffs.items()}, -self.const)
+
+    def evaluate(self, point):
+        return sum(
+            (c * point[v] for v, c in self.coeffs.items()), start=Fraction(0)
+        ) + self.const
+
+    def box_max(self):
+        return self.const + sum(
+            (c for c in self.coeffs.values() if c > 0), start=Fraction(0)
+        )
+
+    def key(self):
+        """The coefficients and constant times the lcm of their
+        denominators, gcd-reduced."""
+        const, coeffs = self.const, self.coeffs
+        lcm = math.lcm(const.denominator, *[c.denominator for c in coeffs.values()])
+        ints = {v: c.numerator * (lcm // c.denominator) for v, c in coeffs.items()}
+        const = const.numerator * (lcm // const.denominator)
+        g = math.gcd(const, *ints.values())
+        if g > 1:
+            ints = {v: x // g for v, x in ints.items()}
+            const //= g
+        return (tuple(sorted(ints.items())), const)
+
+    def lp_row(self, variables):
+        """(coefficients in the variables' order, constant), as solve_lp
+        takes a row."""
+        return [self.coeffs.get(v, Fraction(0)) for v in variables], self.const
+
+
 def feasible_point_by_fractions(enum, constraints):
     """CellEnumerator.feasible_point with its interval and midpoint screens
-    in Fractions, evaluating the Affines rather than their keys: the same
-    point and the same clog.branches.solve_lp call, if any."""
+    in Fractions, evaluating the FractionAffines of cells_by_recursion
+    rather than their keys, and its LP rows built from them: the same point
+    and the same clog.branches.solve_lp call (rows equal as rationals), if
+    any."""
     from clog import branches
     from clog.simplex import OPTIMAL
 
@@ -243,7 +328,8 @@ def feasible_point_by_fractions(enum, constraints):
     mid = {v: (lo[v] + hi[v]) / 2 for v in enum.variables}
     if all(aff.evaluate(mid) >= 0 for aff in constraints.values()):
         return mid
-    res = branches.solve_lp(len(enum.variables), enum._lp_rows(constraints))
+    rows = [aff.lp_row(enum.variables) for aff in constraints.values()]
+    res = branches.solve_lp(len(enum.variables), rows)
     return dict(zip(enum.variables, res.point)) if res.status == OPTIMAL else None
 
 
@@ -253,9 +339,10 @@ def cells_by_recursion(enum, term):
     passed up through every one of them.  It visits the sides in the same
     order, with the same face skip and the same enum.feasible_point calls,
     so it judges the explicit-stack walk cell by cell; it stops at Python's
-    recursion limit, about a thousand splits deep."""
+    recursion limit, about a thousand splits deep.  Its rows are
+    FractionAffines: the IR's leaves are read off their Fraction views, and
+    the cells' constraints and values are FractionAffines."""
     from clog.branches import Affine, Cell, PLComb
-    from clog.rationals import rat
 
     nodes, roots = term
     values = [None] * len(nodes)
@@ -266,9 +353,9 @@ def cells_by_recursion(enum, term):
             n = nodes[i]
             t = type(n)
             if t is Affine:
-                values[i] = n
+                values[i] = FractionAffine.of(n)
             elif t is PLComb:
-                total = Affine.constant(n.const)
+                total = FractionAffine.constant(n.const)
                 for k, j in n.terms:
                     total = total.plus(values[j].scale(rat(k)))
                 values[i] = total
@@ -281,7 +368,7 @@ def cells_by_recursion(enum, term):
         node = nodes[i]  # a PLMonus: zero where diff <= 0, else diff
         diff = values[node.left].minus(values[node.right])
         if not diff.coeffs:
-            values[i] = Affine.constant(0) if diff.const <= 0 else diff
+            values[i] = FractionAffine.constant(0) if diff.const <= 0 else diff
             yield from walk(i + 1, point)
             return
         guards = (diff.negated(), diff)
@@ -289,7 +376,7 @@ def cells_by_recursion(enum, term):
         keys = ((tuple([(v, -x) for v, x in ints]), -const), (ints, const))
         for si in (0, 1):
             if keys[si] in constraints:
-                values[i] = diff if si else Affine.constant(0)
+                values[i] = diff if si else FractionAffine.constant(0)
                 yield from walk(i + 1, point)
                 return
         d = diff.evaluate(point)
@@ -308,7 +395,7 @@ def cells_by_recursion(enum, term):
                 if newpoint is None:
                     continue
             constraints[key] = guard
-            values[i] = diff if si else Affine.constant(0)
+            values[i] = diff if si else FractionAffine.constant(0)
             yield from walk(i + 1, newpoint)
             del constraints[key]
 

@@ -39,35 +39,38 @@ def write_fixtures(tmp_path):
         [("w1", rat(1, 2)), ("w2", rat(1, 4)), ("w3", rat(1, 4))]
     )
     paths["space"] = tmp_path / "space.json"
-    paths["space"].write_text(json.dumps(rv.space_to_json(sp)))
+    paths["space"].write_text(json.dumps(rv.space_to_json(sp)), encoding="utf-8")
     x = rv.RandomVariable(sp, (rat(1, 2), rat(1), rat(0)))
     paths["x"] = tmp_path / "x.json"
-    paths["x"].write_text(json.dumps(rv.rv_to_json(x)))
+    paths["x"].write_text(json.dumps(rv.rv_to_json(x)), encoding="utf-8")
     y = rv.RandomVariable(sp, (rat(1, 4), rat(1), rat(1, 2)))
     paths["y"] = tmp_path / "y.json"
-    paths["y"].write_text(json.dumps(rv.rv_to_json(y)))
+    paths["y"].write_text(json.dumps(rv.rv_to_json(y)), encoding="utf-8")
     ind = rv.RandomVariable(
         rv.FiniteProbSpace.uniform(["a", "b"]), (rat(1), rat(0))
     )
     paths["ind"] = tmp_path / "ind.json"
-    paths["ind"].write_text(json.dumps(rv.rv_to_json(ind)))
+    paths["ind"].write_text(json.dumps(rv.rv_to_json(ind)), encoding="utf-8")
 
     fam = test_randomisation.two_point_family()
     paths["family"] = tmp_path / "family.json"
-    paths["family"].write_text(json.dumps(randomisation.family_to_json(fam)))
+    paths["family"].write_text(
+        json.dumps(randomisation.family_to_json(fam)), encoding="utf-8")
 
     sp2 = rv.FiniteProbSpace([("w1", rat(1, 2)), ("w2", rat(1, 2))])
     fine = hall.HallInstance(
         sp2, [("x", rat(1, 2), ["w1"]), ("y", rat(1, 2), ["w2"])]
     )
     paths["hall_ok"] = tmp_path / "hall_ok.json"
-    paths["hall_ok"].write_text(json.dumps(hall.instance_to_json(fine)))
+    paths["hall_ok"].write_text(
+        json.dumps(hall.instance_to_json(fine)), encoding="utf-8")
     # both items want w1; singletons fit but the pair cannot
     pair = hall.HallInstance(
         sp2, [("x", rat(1, 2), ["w1"]), ("y", rat(1, 4), ["w1"])]
     )
     paths["hall_pair"] = tmp_path / "hall_pair.json"
-    paths["hall_pair"].write_text(json.dumps(hall.instance_to_json(pair)))
+    paths["hall_pair"].write_text(
+        json.dumps(hall.instance_to_json(pair)), encoding="utf-8")
 
     return paths
 
@@ -93,7 +96,7 @@ def test_valid_counterexample_golden(capsys):
 
 def test_valid_from_file(capsys, tmp_path):
     f = tmp_path / "formula.txt"
-    f.write_text("(p - p)\n")
+    f.write_text("(p - p)\n", encoding="utf-8")
     rc, out = run(capsys, ["valid", str(f)])
     assert rc == 0
     assert json.loads(out)["valid"] is True
@@ -212,14 +215,14 @@ def test_find_and_check_proof(capsys, tmp_path):
     assert report["found"] is True and report["lines"] == 9
 
     proof_file = tmp_path / "proof.json"
-    proof_file.write_text(json.dumps(report["proof"]))
+    proof_file.write_text(json.dumps(report["proof"]), encoding="utf-8")
     rc, out = run(capsys, ["check-proof", str(proof_file)])
     assert rc == 0
     assert out == '{"cmd":"check-proof","status":"ok","checked":true,"lines":9}\n'
 
     broken = list(report["proof"])
     broken[0] = {"formula": "q", "by": "axiom:A1", "subst": {}}
-    proof_file.write_text(json.dumps(broken))
+    proof_file.write_text(json.dumps(broken), encoding="utf-8")
     rc, out = run(capsys, ["check-proof", str(proof_file)])
     assert rc == 1
     report = json.loads(out)
@@ -334,7 +337,7 @@ def test_rand_eval_golden(capsys, tmp_path):
 def test_readme_quick_start(capsys, tmp_path):
     """Each `$ clog` line of the README's first example block prints the
     line shown under it; its Hall instance is the blocked pair."""
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = next(b for b in re.findall(r"```\n(.*?)```", readme, re.S)
                  if b.startswith("$ clog"))
     examples = re.findall(r"^\$ clog (.*)\n(.*)$", block, re.M)
@@ -351,13 +354,13 @@ def test_readme_quick_start(capsys, tmp_path):
 def test_readme_family_example(capsys, tmp_path):
     """The README's random-family example loads exactly as printed, and the
     command shown under it prints the line shown under it."""
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
     command, expected = re.search(
         r"^\$ clog (rand eval family\.json .*)\n(.*)$", readme, re.M
     ).groups()
     path = tmp_path / "family.json"
-    path.write_text(example)
+    path.write_text(example, encoding="utf-8")
     argv = shlex.split(command)
     argv[argv.index("family.json")] = str(path)
     rc, out = run(capsys, argv)
@@ -468,7 +471,7 @@ def test_hall_allocation_ignores_string_hashing(tmp_path):
                                   ("y", rat(1, 4), ["a2", "a3", "a4"]),
                                   ("z", rat(1, 4), ["a1", "a4"])])
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(hall.instance_to_json(inst)))
+    path.write_text(json.dumps(hall.instance_to_json(inst)), encoding="utf-8")
     outs = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
@@ -490,7 +493,7 @@ def test_hall_answers_at_the_item_cap(capsys, tmp_path, feasible):
     inst, violator = test_hall.planted_instance(
         random.Random(43), cap, 40, feasible)
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(hall.instance_to_json(inst)))
+    path.write_text(json.dumps(hall.instance_to_json(inst)), encoding="utf-8")
     rc, out = run(capsys, ["hall", str(path)])
     if not feasible:
         assert rc == 1
@@ -543,14 +546,15 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert "error" in json.loads(out)
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text("{not json", encoding="utf-8")
     rc, out = run(capsys, ["hall", str(bad)])
     assert rc == 1
     assert "error" in json.loads(out)
 
     # a JSON number where a "p/q" string belongs
     floats = tmp_path / "floats.json"
-    floats.write_text('{"atoms": [{"id": "a", "w": 0.5}, {"id": "b", "w": "1/2"}]}')
+    floats.write_text('{"atoms": [{"id": "a", "w": 0.5}, {"id": "b", "w": "1/2"}]}',
+                      encoding="utf-8")
     rc, out = run(capsys, ["rv", "check", str(floats)])
     assert rc == 1
     assert "error" in json.loads(out)
@@ -580,7 +584,8 @@ def three_point_family_file(tmp_path, atoms):
     path.write_text(json.dumps(randomisation.family_to_json(
         randomisation.RandomFamily(
             rv.FiniteProbSpace.uniform(["w%d" % i for i in range(atoms)]),
-            test_randomisation.two_point_family().structures[1:] * atoms))))
+            test_randomisation.two_point_family().structures[1:] * atoms))),
+        encoding="utf-8")
     return path
 
 
@@ -595,17 +600,19 @@ def test_every_limit_is_enforced_and_documented(capsys, tmp_path):
     rv_file = tmp_path / "rv.json"
     atoms = ["a%d" % i for i in range(over("rv arv-defect atoms"))]
     rv_file.write_text(json.dumps(rv.rv_to_json(rv.RandomVariable(
-        rv.FiniteProbSpace.uniform(atoms), [rat(i, 5) for i in range(len(atoms))]))))
+        rv.FiniteProbSpace.uniform(atoms), [rat(i, 5) for i in range(len(atoms))]))),
+        encoding="utf-8")
     family_file = tmp_path / "wide_family.json"
     atoms = ["w%d" % i for i in range(over("rand axioms atoms"))]
     family_file.write_text(json.dumps(randomisation.family_to_json(
         randomisation.RandomFamily(
             rv.FiniteProbSpace.uniform(atoms),
-            test_randomisation.two_point_family().structures[:1] * len(atoms)))))
+            test_randomisation.two_point_family().structures[:1] * len(atoms)))),
+        encoding="utf-8")
     hall_file = tmp_path / "big_instance.json"
     inst, _ = test_hall.planted_instance(
         random.Random(43), over("hall items"), 40, False)
-    hall_file.write_text(json.dumps(hall.instance_to_json(inst)))
+    hall_file.write_text(json.dumps(hall.instance_to_json(inst)), encoding="utf-8")
     argvs = {
         "rv tauphi --n": ["rv", "tauphi", str(paths["x"]), "--event", "w1",
                           "--n", str(over("rv tauphi --n"))],
@@ -621,7 +628,8 @@ def test_every_limit_is_enforced_and_documented(capsys, tmp_path):
                        "-e", "sup z. inf y. d(z, y)"],
     }
     assert set(argvs) == set(cli.LIMITS) == set(LIMIT_ERRORS)
-    rows = [line for line in (ROOT / "README.md").read_text().splitlines()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines()
             if line.startswith("| `")]
     for name, (cap, reason, text) in cli.LIMITS.items():
         started = time.monotonic()
@@ -653,7 +661,8 @@ def test_rand_cells_cap_per_command(capsys, tmp_path):
     error = text % (cap, reason)
     wide = str(three_point_family_file(tmp_path, 8))
     one = str(three_point_family_file(tmp_path, 1))
-    fam = randomisation.family_from_json(json.loads(Path(one).read_text()))
+    fam = randomisation.family_from_json(
+        json.loads(Path(one).read_text(encoding="utf-8")))
     small, big = (syntax.parse_lformula(chained_sups(n)) for n in (10, 11))
     sizes = [randomisation.table_sizes(phi, {}, fam) for phi in (small, big)]
     assert 2 * sizes[0][1] <= cap < 3 * sizes[0][1] and sizes[1][1] > cap
@@ -791,10 +800,10 @@ def test_cell_search_beyond_the_stack(capsys, monkeypatch):
 def test_first_order_nesting_beyond_the_stack(capsys, tmp_path):
     """First-order formulas nest to any depth: both routes answer on 5,000
     nested `neg`, each run well within 10 s."""
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
     family = tmp_path / "family.json"
-    family.write_text(example)
+    family.write_text(example, encoding="utf-8")
     cases = [
         (["rand", "eval"], 5000, '"values":["1/4","1/2"]}'),
         (["rand", "eval"], 5001, '"values":["3/4","1/2"]}'),
@@ -813,7 +822,7 @@ def test_json_nested_beyond_the_stack(capsys, tmp_path):
     """JSON files are still read recursively: one nested past the stack is
     one clean error line."""
     family = tmp_path / "family.json"
-    family.write_text("[" * 100_000)
+    family.write_text("[" * 100_000, encoding="utf-8")
     rc, out = run(capsys, ["rand", "eval", str(family), "-e", "inf x. P(x)"])
     assert rc == 1
     assert out.count("\n") == 1
@@ -853,7 +862,7 @@ def _loaded_by(*argvs):
     env.pop("CLOG_BRANCH_BUDGET", None)
     out = subprocess.run(
         [sys.executable, "-c", code, json.dumps(argvs)], env=env,
-        capture_output=True, text=True, check=True,
+        capture_output=True, encoding="utf-8", check=True,
     ).stdout.splitlines()
     return out[:-1], set(json.loads(out[-1]))
 

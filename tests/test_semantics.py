@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 import oracles
 from clog import branches, semantics, syntax
 from clog.kernel import KernelUnsupported, grid_max
+from clog.rationals import format_rat
 from clog.semantics import (
     BudgetExceeded,
     entails_semantic,
@@ -349,6 +351,40 @@ def test_one_search_finds_the_refutations_countermodel():
         answers.append((want is None, zero is None, m))
     assert {(False, False, None), (True, False, 1), (True, True, 0)} < set(answers)
     assert sum(m is None for ok, _, m in answers if ok) > 20  # m over the cap
+
+
+def shown(point):
+    if point is None:
+        return "-"
+    return ",".join("%s=%s" % (v, format_rat(x)) for v, x in sorted(point.items()))
+
+
+# recorded with the Fraction rows of the cell walk
+DECISIONS_DIGEST = "694d8a9c582764af74dcb3d0fb4be0dab81246f6067c85bc3f06f7259c59444a"
+
+
+def test_the_decisions_are_byte_stable():
+    """is_valid's refutation, entailment's countermodel and witness (cap
+    3) and is_satisfiable on 300 seeded formulas, hashed: an answer,
+    countermodel or witness that moves changes the digest."""
+    rng = random.Random(26)
+    lines = []
+    refuted = witnessed = 0
+    for _ in range(300):
+        atoms = ["p%d" % i for i in range(rng.randint(2, 4))]
+        goal = oracles.random_core_formula(rng, 5, atoms, monus_cap=6)
+        premises = [oracles.random_core_formula(rng, 4, atoms, monus_cap=4)
+                    for _ in range(rng.randint(0, 2))]
+        valid, refutation = is_valid(goal)
+        countermodel, m = entailment(premises, goal, 3)
+        sat = is_satisfiable([goal] + premises)
+        lines.append("%d %s %s %s %d" % (
+            valid, shown(refutation), shown(countermodel), m, sat))
+        refuted += countermodel is not None
+        witnessed += m is not None
+    assert refuted > 150 and witnessed > 100
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DECISIONS_DIGEST
 
 
 def test_budget_enforcement():
