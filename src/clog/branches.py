@@ -21,12 +21,12 @@ not 2^k.
 Each affine row is integers: numerators by atom name and a constant
 numerator over one positive denominator.  So the walk's sums, differences,
 scalings and keys build no Fraction, and neither do its side, face and
-midpoint-screen tests: each is the sign of an integer sum over a key row,
-and the point is carried beside its Fractions as integer numerators over
-one denominator, made once per point.  solve_lp is handed each row's
-rational values, built once per row: it weighs a row in phase 1 by the lcm
-of the row's denominators, so a row rescaled to integers could move the
-vertex it returns.
+midpoint-screen tests: each is the sign of Affine.at or Affine.box_max, an
+integer sum over a row, and the point is carried beside its Fractions as
+integer numerators over one denominator, made once per point.  solve_lp
+is handed each row's rational values, built once per row: it weighs a row
+in phase 1 by the lcm of the row's denominators, so a row rescaled to
+integers could move the vertex it returns.
 
 The depth-first search is one loop over an explicit stack of frames, one
 per constraint on the current path: the key to delete on the way back and
@@ -137,13 +137,6 @@ class Affine:
         """-self; the same values as scale(-1)."""
         return _affine({v: -x for v, x in self.nums.items()}, -self.num, self.den)
 
-    def evaluate(self, point):
-        """The value at a point of Fractions, as a Fraction."""
-        return Fraction(
-            sum([x * point[v] for v, x in self.nums.items()], start=self.num),
-            self.den,
-        )
-
     def at(self, ipoint):
         """The value at an integer point (numerators P over d, as
         _integer_point makes it) times den * d: its sign is the value's."""
@@ -151,9 +144,9 @@ class Affine:
         return self.num * d + sum([x * nums[v] for v, x in self.nums.items()])
 
     def box_max(self):
-        """Largest value on the unit box (an upper bound on any cell)."""
-        top = self.num + sum([x for x in self.nums.values() if x > 0])
-        return Fraction(top, self.den)
+        """Largest value on the unit box (an upper bound on any cell) times
+        den: its sign is the value's."""
+        return self.num + sum([x for x in self.nums.values() if x > 0])
 
     def key(self):
         """Canonical form of the constraint self >= 0: the numerators and
@@ -181,17 +174,6 @@ def _integer_point(point):
     """The Fraction point as (integer numerators by name, one denominator)."""
     d = math.lcm(*[q.denominator for q in point.values()])
     return {v: q.numerator * (d // q.denominator) for v, q in point.items()}, d
-
-
-def _key_at(key, ipoint):
-    """The key's row at the integer point: a positive multiple of the value."""
-    (ints, const), (nums, d) = key, ipoint
-    return const * d + sum([x * nums[v] for v, x in ints])
-
-
-def _key_box_max(key):
-    """The key's row at its best box corner: the sign of Affine.box_max."""
-    return key[1] + sum([x for _, x in key[0] if x > 0])
 
 
 # --- term IR -----------------------------------------------------------------
@@ -270,8 +252,8 @@ class CellEnumerator:
         if not ok:
             return None
         mid = {v: (lo[v] + hi[v]) / 2 for v in self.variables}
-        at = _integer_point(mid)
-        if all(_key_at(key, at) >= 0 for key in constraints):
+        imid = _integer_point(mid)
+        if all(aff.at(imid) >= 0 for aff in constraints.values()):
             return mid
         res = solve_lp(len(self.variables), self._lp_rows(constraints))
         return dict(zip(self.variables, res.point)) if res.status == OPTIMAL else None
@@ -290,11 +272,11 @@ class CellEnumerator:
 
         The search is one loop over an explicit stack, so a term may hold
         any number of splits.  Going forward, each split that adds a
-        constraint takes the side whose key row is >= 0 at the carried point,
-        an integer test, and pushes a frame: the key it added, and the other
+        constraint takes the side whose row is >= 0 at the carried point, an
+        integer test, and pushes a frame: the key it added, and the other
         side with the point carried in, or None once that side is taken too.
         After a cell, the walk pops frames, deleting their keys, down to the
-        deepest split whose other side is more than a face (its key row's box
+        deepest split whose other side is more than a face (its row's box
         maximum is positive) and feasible (at the point, the integer midpoint
         screen's point or an LP vertex), and goes forward from there.
         """
@@ -344,7 +326,7 @@ class CellEnumerator:
                     elif key1 in constraints:
                         values[i] = diff
                     else:  # first the side holding at the carried point
-                        d = _key_at(key1, ipoint)
+                        d = diff.at(ipoint)
                         if d <= 0:
                             constraints[key0] = diff.negated()
                             values[i] = zero
@@ -362,9 +344,9 @@ class CellEnumerator:
                 if other is None:
                     continue
                 i, diff, si, key, point, ipoint, d = other
-                if _key_box_max(key) <= 0:
-                    continue  # only a face: the first side holds on the whole box
                 guard = diff if si else diff.negated()
+                if guard.box_max() <= 0:
+                    continue  # only a face: the first side holds on the whole box
                 if d != 0:  # the carried point is off this side
                     trial = dict(constraints)
                     trial[key] = guard
@@ -392,7 +374,7 @@ class CellEnumerator:
         best, best_point = None, None
         for cell in self.iter_cells((nodes, [len(nodes) - 1])):
             value = cell.values[0]
-            if best is not None and value.box_max() <= best:
+            if best is not None and Fraction(value.box_max(), value.den) <= best:
                 continue
             if not value.nums:  # constant on the cell, any cell point attains it
                 got = (value.const, cell.point)

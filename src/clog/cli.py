@@ -13,9 +13,13 @@ hall, ...) report status "ok" when the property holds and "fail" (or
 "infeasible" for hall) when it does not; pure computations (dist, joint,
 glue, ...) are "ok" whenever the input was well-formed.
 
-Each handler imports the library modules it runs, so a process loads only
-what its subcommand needs; building the parser imports none of them, and
-gives arguments only to the subcommand that runs.
+Every command is declared once, in the COMMANDS table: its path (such as
+"rand los", which is also the report's "cmd"), its handler, its help line
+and its arguments, arguments shared by several commands being module
+constants.  One recursive builder makes the parser from the table.  Each
+handler imports the library modules it runs, so a process loads only what
+its subcommand needs; building the parser imports none of them, and gives
+arguments only to the subcommand that runs.
 """
 
 import argparse
@@ -105,25 +109,6 @@ def _fmt_point(point):
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _formula_arg(p, many=False):
-    """Attach the shared formula input: -e TEXT or a file path."""
-    p.add_argument(
-        "-e",
-        "--expr",
-        action="append",
-        default=None,
-        metavar="FORMULA",
-        help="formula text" + (" (repeatable)" if many else ""),
-    )
-    p.add_argument(
-        "file",
-        nargs="?",
-        default=None,
-        help="file with the formula text"
-        + (", one per line" if many else ""),
-    )
 
 
 def _read_formulas(args, parser, many=False):
@@ -491,7 +476,110 @@ def _cmd_hall(args, parser):
     }
 
 
-# --- wiring ------------------------------------------------------------------------
+# --- the command table ------------------------------------------------------------
+# Each command maps to (handler, help, arguments), an argument being (flags,
+# add_argument options); a group's handler is None and its third field is
+# its own table.  A command's report echoes its path, such as "rand los".
+
+_PREMISE = (("--premise",), dict(action="append", metavar="FORMULA"))
+_GOAL = (("--goal",), dict(required=True, metavar="FORMULA"))
+_CAP = (("--cap",), dict(type=_nonnegative_int))
+_SEED = (("--seed",), dict(type=int, default=0))
+_RV = (("rv",), dict(help="random variable JSON file"))
+_FAMILY = (("family",), dict(help="random family JSON file"))
+_SECTION = (("--section",), dict(action="append", metavar="NAME=V1,V2,..."))
+
+
+def _formula_arg(many=False):
+    """The shared formula input: -e TEXT or a file path."""
+    more, lines = (" (repeatable)", ", one per line") if many else ("", "")
+    return [(("-e", "--expr"), dict(action="append", default=None, metavar="FORMULA",
+                                    help="formula text" + more)),
+            (("file",), dict(nargs="?", default=None,
+                             help="file with the formula text" + lines))]
+
+
+COMMANDS = {
+    "valid": (_cmd_valid, "is the formula 0 everywhere?", _formula_arg()),
+    "sat": (_cmd_sat, "do the formulas share a zero?", _formula_arg(many=True)),
+    "entail": (_cmd_entail, "do the premises entail the goal?", [
+        _PREMISE, _GOAL,
+        (("--witness",), dict(action="store_true",
+                              help="also search for the finite witness m")),
+        _CAP]),
+    "unsat-witness": (_cmd_unsat_witness,
+                      "smallest n certifying the premises unsatisfiable",
+                      [_PREMISE, _CAP]),
+    "check-proof": (_cmd_check_proof, "check a proof file", [
+        (("proof",), dict(help="proof JSON file")), _PREMISE]),
+    "find-proof": (_cmd_find_proof, "search for a proof of the goal", [
+        *_formula_arg(), _PREMISE,
+        (("--depth",), dict(type=_nonnegative_int, default=20,
+                            help="largest proof length to consider"))]),
+    "elim-half": (_cmd_elim_half, "rewrite premises and goal without half",
+                  [_PREMISE, _GOAL]),
+    "rv": (None, "random variables on finite spaces", {
+        "check": (_cmd_rv_check, "axiom residuals on random samples", [
+            (("space",), dict(help="probability space JSON file")),
+            (("--samples",), dict(type=_nonnegative_int, default=12,
+                                  help="sample variables (2 to %d)"
+                                  % LIMITS["rv check --samples"][0])),
+            _SEED]),
+        "arv-defect": (_cmd_rv_arv_defect,
+                       "distance from the variable's law to atomlessness",
+                       [_RV, (("--witness",), dict(action="store_true"))]),
+        "dist": (_cmd_rv_dist, "L1 distance of two variables", [
+            (("x",), dict(help="random variable JSON file")),
+            (("y",), dict(help="random variable JSON file"))]),
+        "joint": (_cmd_rv_joint, "joint law of the variables", [
+            (("rv",), dict(nargs="+", help="random variable JSON files"))]),
+        "condexp": (_cmd_rv_condexp, "conditional expectation", [
+            _RV, (("--block",), dict(action="append", required=True, metavar="ATOMS",
+                                     help="partition block, comma-separated"))]),
+        "tauphi": (_cmd_rv_tauphi, "staged integral approximation over an event", [
+            _RV,
+            (("--n",), dict(type=int, required=True,
+                            help="stage (1 to %d)" % LIMITS["rv tauphi --n"][0])),
+            (("--event",), dict(required=True, metavar="ATOMS",
+                                help="event, comma-separated atom ids"))]),
+    }),
+    "rand": (None, "randomisations of finite structures", {
+        "eval": (_cmd_rand_eval, "pointwise value of a formula",
+                 [_FAMILY, *_formula_arg(), _SECTION]),
+        "axioms": (_cmd_rand_axioms, "axiom residuals on random sections", [
+            _FAMILY,
+            (("--samples",), dict(type=_nonnegative_int, default=8,
+                                  help="sample sections (2 to %d)"
+                                  % LIMITS["rand axioms --samples"][0])),
+            _SEED]),
+        "los": (_cmd_rand_los, "expected truth value both ways: do they agree?", [
+            _FAMILY, *_formula_arg(), _SECTION,
+            (("--weights",), dict(
+                metavar="P/Q,P/Q,...",
+                help="reweighting of the atoms (defaults to the family's)"))]),
+        "glue": (_cmd_rand_glue, "combine two sections along an event", [
+            _FAMILY, (("--event",), dict(required=True, metavar="ATOMS")),
+            (("--a",), dict(required=True, metavar="V1,V2,...",
+                            help="section used on the event")),
+            (("--b",), dict(required=True, metavar="V1,V2,...",
+                            help="section used off the event"))]),
+        "type-measure": (_cmd_rand_type_measure,
+                         "pushforward law of formula values at sections", [
+            _FAMILY, *_formula_arg(many=True),
+            (("--section",), dict(action="append", metavar="V1,V2,...",
+                                  help="section values (repeatable)")),
+            (("--name",), dict(action="append", metavar="NAME",
+                               help="variable name bound per section tuple entry"))]),
+        "inf-witness": (_cmd_rand_inf_witness,
+                        "section attaining an inf at every atom", [
+            _FAMILY, *_formula_arg(),
+            (("--var",), dict(required=True, help="the quantified variable")),
+            _SECTION]),
+    }),
+    "hall": (_cmd_hall, "marriage condition and mass allocation", [
+        (("instance",), dict(help="instance JSON file (up to %d items)"
+                             % LIMITS["hall items"][0]))]),
+}
 
 
 def _subparser(runs, **kwargs):
@@ -500,187 +588,37 @@ def _subparser(runs, **kwargs):
     return argparse.ArgumentParser(**kwargs) if runs else None
 
 
+def _add_commands(parser, table, words, path=()):
+    """Name every command of the table under parser, and build the one that
+    words (argv's words not starting with "-") runs: its arguments, or the
+    commands of its group.  At each level the command is argparse's first
+    positional, and no option before it takes a value, so it is the word at
+    its path's depth."""
+    sub = parser.add_subparsers(dest="_".join(path + ("command",)), required=True,
+                                parser_class=_subparser)
+    for name, (handler, help, arguments) in table.items():
+        p = sub.add_parser(name, help=help,
+                           runs=words[len(path):len(path) + 1] == [name])
+        if p is None:
+            continue
+        if handler is None:
+            _add_commands(p, arguments, words, path + (name,))
+            continue
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler, echo=" ".join(path + (name,)))
+
+
 def _build_parser(argv):
     """The parser for argv: every command is named, so the usage, help and
     invalid-choice texts are the same whichever runs, but only the one that
-    runs gets its arguments.  At each level the command is argparse's first
-    positional, and no option before it takes a value, so it is argv's
-    first word not starting with "-" (the second one under rv and rand)."""
-    words = [a for a in argv if not a.startswith("-")]
-
-    def command(sub, name, help, level=0):
-        """name's subparser if argv runs it, else None."""
-        return sub.add_parser(name, help=help, runs=words[level:level + 1] == [name])
-
+    runs gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="clog",
         description="Continuous-logic toolkit: validity, proofs, random "
         "variables, randomised structures, mass allocation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_subparser)
-
-    p = command(sub, "valid", "is the formula 0 everywhere?")
-    if p is not None:
-        _formula_arg(p)
-        p.set_defaults(handler=_cmd_valid, echo="valid")
-
-    p = command(sub, "sat", "do the formulas share a zero?")
-    if p is not None:
-        _formula_arg(p, many=True)
-        p.set_defaults(handler=_cmd_sat, echo="sat")
-
-    p = command(sub, "entail", "do the premises entail the goal?")
-    if p is not None:
-        p.add_argument("--premise", action="append", metavar="FORMULA")
-        p.add_argument("--goal", required=True, metavar="FORMULA")
-        p.add_argument("--witness", action="store_true",
-                       help="also search for the finite witness m")
-        p.add_argument("--cap", type=_nonnegative_int)
-        p.set_defaults(handler=_cmd_entail, echo="entail")
-
-    p = command(sub, "unsat-witness",
-                "smallest n certifying the premises unsatisfiable")
-    if p is not None:
-        p.add_argument("--premise", action="append", metavar="FORMULA")
-        p.add_argument("--cap", type=_nonnegative_int)
-        p.set_defaults(handler=_cmd_unsat_witness, echo="unsat-witness")
-
-    p = command(sub, "check-proof", "check a proof file")
-    if p is not None:
-        p.add_argument("proof", help="proof JSON file")
-        p.add_argument("--premise", action="append", metavar="FORMULA")
-        p.set_defaults(handler=_cmd_check_proof, echo="check-proof")
-
-    p = command(sub, "find-proof", "search for a proof of the goal")
-    if p is not None:
-        _formula_arg(p)
-        p.add_argument("--premise", action="append", metavar="FORMULA")
-        p.add_argument("--depth", type=_nonnegative_int, default=20,
-                       help="largest proof length to consider")
-        p.set_defaults(handler=_cmd_find_proof, echo="find-proof")
-
-    p = command(sub, "elim-half", "rewrite premises and goal without half")
-    if p is not None:
-        p.add_argument("--premise", action="append", metavar="FORMULA")
-        p.add_argument("--goal", required=True, metavar="FORMULA")
-        p.set_defaults(handler=_cmd_elim_half, echo="elim-half")
-
-    rv_p = command(sub, "rv", "random variables on finite spaces")
-    if rv_p is not None:
-        rv_sub = rv_p.add_subparsers(dest="rv_command", required=True,
-                                     parser_class=_subparser)
-
-        p = command(rv_sub, "check", "axiom residuals on random samples", 1)
-        if p is not None:
-            p.add_argument("space", help="probability space JSON file")
-            p.add_argument("--samples", type=_nonnegative_int, default=12,
-                           help="sample variables (2 to %d)"
-                           % LIMITS["rv check --samples"][0])
-            p.add_argument("--seed", type=int, default=0)
-            p.set_defaults(handler=_cmd_rv_check, echo="rv check")
-
-        p = command(rv_sub, "arv-defect",
-                    "distance from the variable's law to atomlessness", 1)
-        if p is not None:
-            p.add_argument("rv", help="random variable JSON file")
-            p.add_argument("--witness", action="store_true")
-            p.set_defaults(handler=_cmd_rv_arv_defect, echo="rv arv-defect")
-
-        p = command(rv_sub, "dist", "L1 distance of two variables", 1)
-        if p is not None:
-            p.add_argument("x", help="random variable JSON file")
-            p.add_argument("y", help="random variable JSON file")
-            p.set_defaults(handler=_cmd_rv_dist, echo="rv dist")
-
-        p = command(rv_sub, "joint", "joint law of the variables", 1)
-        if p is not None:
-            p.add_argument("rv", nargs="+", help="random variable JSON files")
-            p.set_defaults(handler=_cmd_rv_joint, echo="rv joint")
-
-        p = command(rv_sub, "condexp", "conditional expectation", 1)
-        if p is not None:
-            p.add_argument("rv", help="random variable JSON file")
-            p.add_argument("--block", action="append", required=True,
-                           metavar="ATOMS", help="partition block, comma-separated")
-            p.set_defaults(handler=_cmd_rv_condexp, echo="rv condexp")
-
-        p = command(rv_sub, "tauphi",
-                    "staged integral approximation over an event", 1)
-        if p is not None:
-            p.add_argument("rv", help="random variable JSON file")
-            p.add_argument("--n", type=int, required=True,
-                           help="stage (1 to %d)" % LIMITS["rv tauphi --n"][0])
-            p.add_argument("--event", required=True, metavar="ATOMS",
-                           help="event, comma-separated atom ids")
-            p.set_defaults(handler=_cmd_rv_tauphi, echo="rv tauphi")
-
-    rand_p = command(sub, "rand", "randomisations of finite structures")
-    if rand_p is not None:
-        rand_sub = rand_p.add_subparsers(dest="rand_command", required=True,
-                                         parser_class=_subparser)
-
-        p = command(rand_sub, "eval", "pointwise value of a formula", 1)
-        if p is not None:
-            p.add_argument("family", help="random family JSON file")
-            _formula_arg(p)
-            p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
-            p.set_defaults(handler=_cmd_rand_eval, echo="rand eval")
-
-        p = command(rand_sub, "axioms", "axiom residuals on random sections", 1)
-        if p is not None:
-            p.add_argument("family", help="random family JSON file")
-            p.add_argument("--samples", type=_nonnegative_int, default=8,
-                           help="sample sections (2 to %d)"
-                           % LIMITS["rand axioms --samples"][0])
-            p.add_argument("--seed", type=int, default=0)
-            p.set_defaults(handler=_cmd_rand_axioms, echo="rand axioms")
-
-        p = command(rand_sub, "los",
-                    "expected truth value both ways: do they agree?", 1)
-        if p is not None:
-            p.add_argument("family", help="random family JSON file")
-            _formula_arg(p)
-            p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
-            p.add_argument("--weights", metavar="P/Q,P/Q,...",
-                           help="reweighting of the atoms (defaults to the family's)")
-            p.set_defaults(handler=_cmd_rand_los, echo="rand los")
-
-        p = command(rand_sub, "glue", "combine two sections along an event", 1)
-        if p is not None:
-            p.add_argument("family", help="random family JSON file")
-            p.add_argument("--event", required=True, metavar="ATOMS")
-            p.add_argument("--a", required=True, metavar="V1,V2,...",
-                           help="section used on the event")
-            p.add_argument("--b", required=True, metavar="V1,V2,...",
-                           help="section used off the event")
-            p.set_defaults(handler=_cmd_rand_glue, echo="rand glue")
-
-        p = command(rand_sub, "type-measure",
-                    "pushforward law of formula values at sections", 1)
-        if p is not None:
-            p.add_argument("family", help="random family JSON file")
-            _formula_arg(p, many=True)
-            p.add_argument("--section", action="append", metavar="V1,V2,...",
-                           help="section values (repeatable)")
-            p.add_argument("--name", action="append", metavar="NAME",
-                           help="variable name bound per section tuple entry")
-            p.set_defaults(handler=_cmd_rand_type_measure, echo="rand type-measure")
-
-        p = command(rand_sub, "inf-witness",
-                    "section attaining an inf at every atom", 1)
-        if p is not None:
-            p.add_argument("family", help="random family JSON file")
-            _formula_arg(p)
-            p.add_argument("--var", required=True, help="the quantified variable")
-            p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
-            p.set_defaults(handler=_cmd_rand_inf_witness, echo="rand inf-witness")
-
-    p = command(sub, "hall", "marriage condition and mass allocation")
-    if p is not None:
-        p.add_argument("instance", help="instance JSON file (up to %d items)"
-                       % LIMITS["hall items"][0])
-        p.set_defaults(handler=_cmd_hall, echo="hall")
-
+    _add_commands(parser, COMMANDS, [a for a in argv if not a.startswith("-")])
     return parser
 
 

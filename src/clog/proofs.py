@@ -12,12 +12,14 @@ library (data/monus_self.json, a 9-line derivation of phi - phi).  It is
 deliberately not complete: a None result refutes nothing.
 """
 
+import itertools
 import json
 from collections import deque
 
 from . import syntax
 from .syntax import (
     Atom,
+    Const0,
     Half,
     Monus,
     Neg,
@@ -162,38 +164,36 @@ class HalfElimResult:
 def eliminate_half(sigma, goal):
     """Rewrite the premises and goal without Half, using fresh atoms.
 
-    Innermost halvings go first: each step picks the first Half node with a
-    Half-free body, replaces it everywhere by a fresh atom Q, and adds the
-    companion premises (body - 2Q) and (Q - (body - Q)), whose common zeros
-    force Q = body/2.  An assignment satisfies the originals exactly when its
-    unique extension to the fresh atoms satisfies the results.
+    Innermost halvings go first: one pass over the distinct subformulas,
+    children first, replaces each Half node, whose body is Half-free by
+    then, with a fresh atom Q everywhere, and adds the companion premises
+    (body - 2Q) and (Q - (body - Q)), whose common zeros force Q = body/2.
+    An assignment satisfies the originals exactly when its unique extension
+    to the fresh atoms satisfies the results.
     """
     formulas = list(sigma) + [goal]
     if not syntax.is_propositional(*formulas):
         raise TypeError("premises and goal must be propositional")
     used = set(syntax.atom_names(*formulas))
+    names = (n for n in ("Q%d" % k for k in itertools.count()) if n not in used)
     fresh = {}
     companions = []
-    counter = 0
-    while True:
-        # the first Half in subformula order has a Half-free body
-        nodes, pos = syntax.subformulas(*formulas)
-        at = next((p for p, f in enumerate(nodes) if type(f) is Half), None)
-        if at is None:
-            break
-        target = nodes[at]
-        while "Q%d" % counter in used:
-            counter += 1
-        name = "Q%d" % counter
-        used.add(name)
-        q = Atom(name)
-        fresh[name] = target
-        formulas = syntax.rebuild(
-            formulas, pos, lambda f, p: q if p == at else None
-        )
-        body = target.body  # Half-free, so the companions are too
-        companions.append(monus_chain(body, 2, q))
-        companions.append(Monus(q, Monus(body, q)))
+
+    def halve(f, body):
+        q = Atom(next(names))
+        fresh[q.name] = Half(body)
+        companions.extend((monus_chain(body, 2, q), Monus(q, Monus(body, q))))
+        return q
+
+    nodes, pos = syntax.subformulas(*formulas)
+    new = syntax.fold(nodes, pos, {
+        Const0: lambda f: f,
+        Atom: lambda f: f,
+        Neg: lambda f, body: Neg(body),
+        Half: halve,
+        Monus: lambda f, left, right: Monus(left, right),
+    })
+    formulas = [new[pos[id(f)]] for f in formulas]
     return HalfElimResult(formulas[:-1] + companions, formulas[-1], fresh)
 
 
@@ -202,6 +202,14 @@ def eliminate_half(sigma, goal):
 _SEED_POOL = 24  # subformulas eligible as metavariable values
 _A2_POOL = 8  # the three-variable scheme is capped harder (cubic seeding)
 _MAX_LINES = 6000  # hard work bound for the forward chaining
+#: len(print_formula(f)) from its children's: "neg ", "half " and "( - )"
+_PRINTED_LENGTH = {
+    Const0: lambda f: 1,
+    Atom: lambda f: len(f.name),
+    Neg: lambda f, n: n + 4,
+    Half: lambda f, n: n + 5,
+    Monus: lambda f, a, b: a + b + 5,
+}
 
 _MONUS_SELF = None
 
@@ -254,7 +262,12 @@ def find_proof(goal, premises=(), depth=20):
     for k, p in enumerate(premises):
         add_line(p, ("premise", k))
 
-    pool = syntax.subformulas(goal, *premises)[0]
+    # the _SEED_POOL shortest subformulas in print, ties by their text; only
+    # those no longer than the _SEED_POOL-th shortest are printed
+    nodes, pos = syntax.subformulas(goal, *premises)
+    lengths = syntax.fold(nodes, pos, _PRINTED_LENGTH)
+    cut = sorted(lengths)[:_SEED_POOL][-1]
+    pool = [f for f, n in zip(nodes, lengths) if n <= cut]
     pool.sort(key=lambda f: (len(print_formula(f)), print_formula(f)))
     pool = pool[:_SEED_POOL]
 
@@ -376,7 +389,7 @@ def proof_from_json(data):
                 by = ("mp", int(i), int(j))
             else:
                 raise ValueError("unknown justification %r" % (by_str,))
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, AttributeError) as e:
             raise ValueError("proof line %d: %s" % (k, e)) from None
         lines.append(ProofLine(formula, by, subst))
     return lines

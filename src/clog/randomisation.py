@@ -17,7 +17,8 @@ import operator
 from . import syntax
 from .rationals import ZERO, format_rat, is_unit_interval, parse_rat, rat
 from .rv import (
-    RandomVariable, expectation, joint_distribution, space_from_json, space_to_json)
+    RandomVariable, expectation, joint_distribution, require_unit_sum, space_from_json,
+    space_to_json)
 from .syntax import (
     METRIC_SYMBOL, Apply, Atom, Const0, Half, Inf, Monus, Neg, Pred, Signature, Sup, Var)
 
@@ -648,9 +649,7 @@ def los_check(phi, env, family, weighting=None):
             raise ValueError("weighting length does not match the space")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        den = math.lcm(*[w.denominator for w in weights])
-        if sum([w.numerator * (den // w.denominator) for w in weights]) != den:
-            raise ValueError("weights must sum to exactly 1")
+        require_unit_sum(weights)
     positions = _positions(phi, env, family)
     inductive = bracket_by_sections(phi, env, family, positions)
     pointwise = bracket(phi, env, family, positions)

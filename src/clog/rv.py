@@ -16,6 +16,14 @@ import math
 from .rationals import HALF, ONE, ZERO, format_rat, is_unit_interval, parse_rat, rat
 
 
+def require_unit_sum(weights):
+    """Refuse rational weights whose sum, taken in integers over their lcm,
+    is not exactly 1."""
+    den = math.lcm(*[w.denominator for w in weights])
+    if sum([w.numerator * (den // w.denominator) for w in weights]) != den:
+        raise ValueError("weights must sum to exactly 1")
+
+
 class FiniteProbSpace:
     """Ordered atoms with positive rational weights that sum to exactly 1."""
 
@@ -34,9 +42,7 @@ class FiniteProbSpace:
             raise ValueError("duplicate atom ids")
         if not ids:
             raise ValueError("a probability space needs at least one atom")
-        den = math.lcm(*[w.denominator for w in weights])
-        if sum([w.numerator * (den // w.denominator) for w in weights]) != den:
-            raise ValueError("weights must sum to exactly 1")
+        require_unit_sum(weights)
         self.ids = tuple(ids)
         self.weights = tuple(weights)
         self._index = {a: i for i, a in enumerate(ids)}

@@ -83,7 +83,7 @@ def _ir(nodes, pos):
     return syntax.fold(nodes, pos, {
         syntax.Const0: lambda f: Affine.constant(0),
         syntax.Atom: lambda f: Affine.variable(f.name),
-        syntax.Neg: lambda f, v: PLComb([(-ONE, pos[id(f.body)])], ONE),
+        syntax.Neg: lambda f, v: PLComb([(-1, pos[id(f.body)])], ONE),
         syntax.Half: lambda f, v: PLComb([(HALF, pos[id(f.body)])], ZERO),
         syntax.Monus: lambda f, a, b: PLMonus(pos[id(f.left)], pos[id(f.right)]),
     })

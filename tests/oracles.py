@@ -17,8 +17,13 @@ clog.branches' walk to judge which cells the one search skips, and
 structure_tables_by_fractions converts table values with
 clog.rationals.rat.  The parser judge, parse_tracking_offsets, builds its
 formulas with syntax's node classes and sugar and raises syntax.ParseError.
+The command-line judge, parser_by_hand, is the argparse parser written one
+block per command, each pointing at its clog.cli handler, and
+eliminate_half_by_steps rewrites with syntax's subformulas and rebuild and
+returns a clog.proofs.HalfElimResult.
 """
 
+import argparse
 import itertools
 import math
 import re
@@ -199,7 +204,8 @@ def _positive_point(enum, cell, objective, zeros=()):
     if objective.box_max() <= 0:
         return None
     point = cell.point
-    if objective.evaluate(point) > 0 and all(z.evaluate(point) == 0 for z in zeros):
+    value = FractionAffine.of(objective).evaluate(point)
+    if value > 0 and all(FractionAffine.of(z).evaluate(point) == 0 for z in zeros):
         return point
     # the zeros are >= 0 on the cell already, so one inequality each pins them
     extra = [z.negated() for z in zeros]
@@ -278,6 +284,14 @@ class FractionAffine:
         return sum(
             (c * point[v] for v, c in self.coeffs.items()), start=Fraction(0)
         ) + self.const
+
+    def at(self, ipoint):
+        """The value at an integer point (numerators over d, as
+        branches._integer_point makes it) times d: its sign is the value's,
+        as is that of branches.Affine.at."""
+        nums, d = ipoint
+        return self.const * d + sum(
+            (c * nums[v] for v, c in self.coeffs.items()), start=Fraction(0))
 
     def box_max(self):
         return self.const + sum(
@@ -936,3 +950,251 @@ def parse_tracking_offsets(text, first_order=False):
     if t[0] != _T_END:
         raise syntax.ParseError("trailing input", t[2])
     return node
+
+
+def _formula_arg_by_hand(p, many=False):
+    """Attach the shared formula input of parser_by_hand: -e TEXT or a file
+    path."""
+    p.add_argument(
+        "-e",
+        "--expr",
+        action="append",
+        default=None,
+        metavar="FORMULA",
+        help="formula text" + (" (repeatable)" if many else ""),
+    )
+    p.add_argument(
+        "file",
+        nargs="?",
+        default=None,
+        help="file with the formula text"
+        + (", one per line" if many else ""),
+    )
+
+
+def parser_by_hand(argv):
+    """cli._build_parser as it was before the command table, one block per
+    command pointing at cli's handlers: the parser for argv.  Every command
+    is named, so the usage, help and invalid-choice texts are the same
+    whichever runs, but only the one that runs gets its arguments.  At each level the command is argparse's first
+    positional, and no option before it takes a value, so it is argv's
+    first word not starting with "-" (the second one under rv and rand)."""
+    from clog import cli
+
+    words = [a for a in argv if not a.startswith("-")]
+
+    def command(sub, name, help, level=0):
+        """name's subparser if argv runs it, else None."""
+        return sub.add_parser(name, help=help, runs=words[level:level + 1] == [name])
+
+    parser = argparse.ArgumentParser(
+        prog="clog",
+        description="Continuous-logic toolkit: validity, proofs, random "
+        "variables, randomised structures, mass allocation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=cli._subparser)
+
+    p = command(sub, "valid", "is the formula 0 everywhere?")
+    if p is not None:
+        _formula_arg_by_hand(p)
+        p.set_defaults(handler=cli._cmd_valid, echo="valid")
+
+    p = command(sub, "sat", "do the formulas share a zero?")
+    if p is not None:
+        _formula_arg_by_hand(p, many=True)
+        p.set_defaults(handler=cli._cmd_sat, echo="sat")
+
+    p = command(sub, "entail", "do the premises entail the goal?")
+    if p is not None:
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.add_argument("--goal", required=True, metavar="FORMULA")
+        p.add_argument("--witness", action="store_true",
+                       help="also search for the finite witness m")
+        p.add_argument("--cap", type=cli._nonnegative_int)
+        p.set_defaults(handler=cli._cmd_entail, echo="entail")
+
+    p = command(sub, "unsat-witness",
+                "smallest n certifying the premises unsatisfiable")
+    if p is not None:
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.add_argument("--cap", type=cli._nonnegative_int)
+        p.set_defaults(handler=cli._cmd_unsat_witness, echo="unsat-witness")
+
+    p = command(sub, "check-proof", "check a proof file")
+    if p is not None:
+        p.add_argument("proof", help="proof JSON file")
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.set_defaults(handler=cli._cmd_check_proof, echo="check-proof")
+
+    p = command(sub, "find-proof", "search for a proof of the goal")
+    if p is not None:
+        _formula_arg_by_hand(p)
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.add_argument("--depth", type=cli._nonnegative_int, default=20,
+                       help="largest proof length to consider")
+        p.set_defaults(handler=cli._cmd_find_proof, echo="find-proof")
+
+    p = command(sub, "elim-half", "rewrite premises and goal without half")
+    if p is not None:
+        p.add_argument("--premise", action="append", metavar="FORMULA")
+        p.add_argument("--goal", required=True, metavar="FORMULA")
+        p.set_defaults(handler=cli._cmd_elim_half, echo="elim-half")
+
+    rv_p = command(sub, "rv", "random variables on finite spaces")
+    if rv_p is not None:
+        rv_sub = rv_p.add_subparsers(dest="rv_command", required=True,
+                                     parser_class=cli._subparser)
+
+        p = command(rv_sub, "check", "axiom residuals on random samples", 1)
+        if p is not None:
+            p.add_argument("space", help="probability space JSON file")
+            p.add_argument("--samples", type=cli._nonnegative_int, default=12,
+                           help="sample variables (2 to %d)"
+                           % cli.LIMITS["rv check --samples"][0])
+            p.add_argument("--seed", type=int, default=0)
+            p.set_defaults(handler=cli._cmd_rv_check, echo="rv check")
+
+        p = command(rv_sub, "arv-defect",
+                    "distance from the variable's law to atomlessness", 1)
+        if p is not None:
+            p.add_argument("rv", help="random variable JSON file")
+            p.add_argument("--witness", action="store_true")
+            p.set_defaults(handler=cli._cmd_rv_arv_defect, echo="rv arv-defect")
+
+        p = command(rv_sub, "dist", "L1 distance of two variables", 1)
+        if p is not None:
+            p.add_argument("x", help="random variable JSON file")
+            p.add_argument("y", help="random variable JSON file")
+            p.set_defaults(handler=cli._cmd_rv_dist, echo="rv dist")
+
+        p = command(rv_sub, "joint", "joint law of the variables", 1)
+        if p is not None:
+            p.add_argument("rv", nargs="+", help="random variable JSON files")
+            p.set_defaults(handler=cli._cmd_rv_joint, echo="rv joint")
+
+        p = command(rv_sub, "condexp", "conditional expectation", 1)
+        if p is not None:
+            p.add_argument("rv", help="random variable JSON file")
+            p.add_argument("--block", action="append", required=True,
+                           metavar="ATOMS", help="partition block, comma-separated")
+            p.set_defaults(handler=cli._cmd_rv_condexp, echo="rv condexp")
+
+        p = command(rv_sub, "tauphi",
+                    "staged integral approximation over an event", 1)
+        if p is not None:
+            p.add_argument("rv", help="random variable JSON file")
+            p.add_argument("--n", type=int, required=True,
+                           help="stage (1 to %d)" % cli.LIMITS["rv tauphi --n"][0])
+            p.add_argument("--event", required=True, metavar="ATOMS",
+                           help="event, comma-separated atom ids")
+            p.set_defaults(handler=cli._cmd_rv_tauphi, echo="rv tauphi")
+
+    rand_p = command(sub, "rand", "randomisations of finite structures")
+    if rand_p is not None:
+        rand_sub = rand_p.add_subparsers(dest="rand_command", required=True,
+                                         parser_class=cli._subparser)
+
+        p = command(rand_sub, "eval", "pointwise value of a formula", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            _formula_arg_by_hand(p)
+            p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
+            p.set_defaults(handler=cli._cmd_rand_eval, echo="rand eval")
+
+        p = command(rand_sub, "axioms", "axiom residuals on random sections", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            p.add_argument("--samples", type=cli._nonnegative_int, default=8,
+                           help="sample sections (2 to %d)"
+                           % cli.LIMITS["rand axioms --samples"][0])
+            p.add_argument("--seed", type=int, default=0)
+            p.set_defaults(handler=cli._cmd_rand_axioms, echo="rand axioms")
+
+        p = command(rand_sub, "los",
+                    "expected truth value both ways: do they agree?", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            _formula_arg_by_hand(p)
+            p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
+            p.add_argument("--weights", metavar="P/Q,P/Q,...",
+                           help="reweighting of the atoms (defaults to the family's)")
+            p.set_defaults(handler=cli._cmd_rand_los, echo="rand los")
+
+        p = command(rand_sub, "glue", "combine two sections along an event", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            p.add_argument("--event", required=True, metavar="ATOMS")
+            p.add_argument("--a", required=True, metavar="V1,V2,...",
+                           help="section used on the event")
+            p.add_argument("--b", required=True, metavar="V1,V2,...",
+                           help="section used off the event")
+            p.set_defaults(handler=cli._cmd_rand_glue, echo="rand glue")
+
+        p = command(rand_sub, "type-measure",
+                    "pushforward law of formula values at sections", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            _formula_arg_by_hand(p, many=True)
+            p.add_argument("--section", action="append", metavar="V1,V2,...",
+                           help="section values (repeatable)")
+            p.add_argument("--name", action="append", metavar="NAME",
+                           help="variable name bound per section tuple entry")
+            p.set_defaults(handler=cli._cmd_rand_type_measure, echo="rand type-measure")
+
+        p = command(rand_sub, "inf-witness",
+                    "section attaining an inf at every atom", 1)
+        if p is not None:
+            p.add_argument("family", help="random family JSON file")
+            _formula_arg_by_hand(p)
+            p.add_argument("--var", required=True, help="the quantified variable")
+            p.add_argument("--section", action="append", metavar="NAME=V1,V2,...")
+            p.set_defaults(handler=cli._cmd_rand_inf_witness, echo="rand inf-witness")
+
+    p = command(sub, "hall", "marriage condition and mass allocation")
+    if p is not None:
+        p.add_argument("instance", help="instance JSON file (up to %d items)"
+                       % cli.LIMITS["hall items"][0])
+        p.set_defaults(handler=cli._cmd_hall, echo="hall")
+
+    return parser
+
+
+def eliminate_half_by_steps(sigma, goal):
+    """proofs.eliminate_half as it was before its one pass: a loop that
+    lists the subformulas again and rebuilds the formulas for each Half.
+
+    Innermost halvings go first: each step picks the first Half node with a
+    Half-free body, replaces it everywhere by a fresh atom Q, and adds the
+    companion premises (body - 2Q) and (Q - (body - Q)), whose common zeros
+    force Q = body/2.  An assignment satisfies the originals exactly when its
+    unique extension to the fresh atoms satisfies the results.
+    """
+    from clog import proofs
+
+    formulas = list(sigma) + [goal]
+    if not syntax.is_propositional(*formulas):
+        raise TypeError("premises and goal must be propositional")
+    used = set(syntax.atom_names(*formulas))
+    fresh = {}
+    companions = []
+    counter = 0
+    while True:
+        # the first Half in subformula order has a Half-free body
+        nodes, pos = syntax.subformulas(*formulas)
+        at = next((p for p, f in enumerate(nodes) if type(f) is syntax.Half), None)
+        if at is None:
+            break
+        target = nodes[at]
+        while "Q%d" % counter in used:
+            counter += 1
+        name = "Q%d" % counter
+        used.add(name)
+        q = syntax.Atom(name)
+        fresh[name] = target
+        formulas = syntax.rebuild(
+            formulas, pos, lambda f, p: q if p == at else None
+        )
+        body = target.body  # Half-free, so the companions are too
+        companions.append(syntax.monus_chain(body, 2, q))
+        companions.append(syntax.Monus(q, syntax.Monus(body, q)))
+    return proofs.HalfElimResult(formulas[:-1] + companions, formulas[-1], fresh)

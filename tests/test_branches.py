@@ -77,8 +77,8 @@ def test_every_cell_is_keyed_pointed_and_valued_correctly():
             assert all(0 <= point[v] <= 1 for v in names)
             for key, aff in cell.constraints.items():
                 assert key == aff.key()
-                assert aff.evaluate(point) >= 0
-            value = cell.values[0].evaluate(point)
+                assert oracles.FractionAffine.of(aff).evaluate(point) >= 0
+            value = oracles.FractionAffine.of(cell.values[0]).evaluate(point)
             assert value == semantics.evaluate(f, point)
     assert cells > 400 and constraints > 800
 
@@ -158,9 +158,10 @@ def sign(x):
 
 
 def test_the_integer_tests_have_the_signs_of_the_fraction_ones():
-    """The key row at the integer point, and at its best box corner, have
-    the signs of Affine.evaluate and Affine.box_max, on points with small
-    denominators and on LP vertices; some values are exactly 0."""
+    """Affine.at at the integer point, and Affine.box_max, have the signs
+    of the Fraction row's value at the point and at its best box corner, on
+    points with small denominators and on LP vertices; some values are
+    exactly 0."""
     rng = random.Random(31)
     names = ["p", "q", "r", "s"]
     vertices, zeros, faces = [], 0, 0
@@ -180,16 +181,17 @@ def test_the_integer_tests_have_the_signs_of_the_fraction_ones():
             point = {v: Fraction(rng.randint(0, 12), 12) / rng.randint(1, 7)
                      for v in names}
         a = random_affine(rng, names)
+        f = oracles.FractionAffine.of(a)
         if case % 5 == 0:  # through the point
-            a = Affine(a.coeffs, a.const - a.evaluate(point))
+            a = Affine(a.coeffs, a.const - f.evaluate(point))
         elif case % 5 == 1:  # 0 at the best box corner
-            a = Affine(a.coeffs, a.const - a.box_max())
-        key = a.key()
-        value = branches._key_at(key, branches._integer_point(point))
-        assert sign(value) == sign(a.evaluate(point))
-        assert sign(branches._key_box_max(key)) == sign(a.box_max())
+            a = Affine(a.coeffs, a.const - f.box_max())
+        f = oracles.FractionAffine.of(a)
+        value = a.at(branches._integer_point(point))
+        assert sign(value) == sign(f.evaluate(point))
+        assert sign(a.box_max()) == sign(f.box_max())
         zeros += value == 0
-        faces += a.box_max() == 0
+        faces += f.box_max() == 0
     assert zeros > 700 and faces > 700
 
 

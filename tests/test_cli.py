@@ -15,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from clog import branches, cli, hall, randomisation, rv, syntax
+from clog import branches, cli, hall, proofs, randomisation, rv, syntax
 from clog.cli import main
 from clog.rationals import rat
 
+import oracles
 import test_hall
 import test_randomisation
 import test_semantics
@@ -72,7 +73,63 @@ def write_fixtures(tmp_path):
     paths["hall_pair"].write_text(
         json.dumps(hall.instance_to_json(pair)), encoding="utf-8")
 
+    paths["proof"] = tmp_path / "proof.json"
+    paths["proof"].write_text(json.dumps(proofs.proof_to_json(
+        proofs.recorded_monus_self())), encoding="utf-8")
+
     return paths
+
+
+def command_paths(table=cli.COMMANDS, path=()):
+    """The path of every command in the table, each group's opened."""
+    for name, (handler, _, arguments) in table.items():
+        if handler is None:
+            yield from command_paths(arguments, path + (name,))
+        else:
+            yield path + (name,)
+
+
+#: A sample value for each option of cli.COMMANDS, by its flag; an entry
+#: under a command's path, or its group's, overrides it there.
+SAMPLES = {
+    "-e": "(p - half q)", "--premise": "half p", "--goal": "p", "--cap": "3",
+    "--depth": "9", "--samples": "3", "--seed": "1", "--block": "w1,w2,w3",
+    "--n": "3", "--event": "w1", "--weights": "1/4,3/4", "--a": "u,a",
+    "--b": "v,b", "--var": "y", "--name": "x", "--section": "x=u,a",
+    "find-proof -e": "(p - p)",
+    "rand -e": "(P(x) - inf y. d(x, y))",
+    "rand inf-witness -e": "(P(x) - d(x, y))",
+    "rand type-measure --section": "u,a",
+}
+#: The write_fixtures file each positional argument takes, by its name.
+FIXTURES = {"proof": "proof", "space": "space", "rv": "x", "x": "x", "y": "y",
+            "family": "family", "instance": "hall_ok"}
+
+
+def well_formed(path, files, optional=True):
+    """A well-formed argv for the command at path, built from its row of
+    cli.COMMANDS: each option with its sample value (a store_true flag
+    alone), each positional with its fixture file (two for nargs="+"), and
+    the formula given with -e, so the formula file is left out.  Without
+    optional, only the positionals and the required options."""
+    table = cli.COMMANDS
+    for name in path:
+        _, _, table = table[name]
+    argv = list(path)
+    for flags, options in table:
+        flag = flags[0]
+        if not flag.startswith("-"):
+            if flag != "file":
+                argv += [str(files[FIXTURES[flag]])] * (
+                    2 if options.get("nargs") == "+" else 1)
+        elif not (optional or options.get("required")):
+            continue
+        elif options.get("action") == "store_true":
+            argv.append(flag)
+        else:
+            keys = [" ".join(path) + " " + flag, path[0] + " " + flag, flag]
+            argv += [flag, next(SAMPLES[k] for k in keys if k in SAMPLES)]
+    return argv
 
 
 # --- propositional ----------------------------------------------------------------
@@ -732,6 +789,46 @@ def test_parser_builds_only_the_command_that_runs(monkeypatch):
         # a command gets its parser exactly when argv starts with its path
         assert all(runs == (argv[:len(path)] == path) for path, runs in built), argv
         assert len(built) == 10 + 6 * (argv[:1] in (["rv"], ["rand"])), argv
+
+
+def test_the_table_builds_the_parser_by_hand(monkeypatch, tmp_path):
+    """The parser built from cli.COMMANDS gives oracles.parser_by_hand's
+    usage, help and error texts and exit codes on every command path and
+    group, and its parsed arguments (defaults, types, handler and echo) on
+    two well-formed argvs per command, one with every option given and one
+    with only the required ones.  README's command table names exactly
+    the table's paths."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    files = write_fixtures(tmp_path)
+    paths = [list(path) for path in command_paths()]
+    assert len(paths) == 20
+    argvs = []
+    for path in [[], ["rv"], ["rand"]] + paths:
+        argvs += [path + ["-h"], path, path + ["--bogus"], path + ["nope"],
+                  path + ["-1"], path + ["--"]]
+    for path in paths:  # every option given, and only the required ones
+        for argv in well_formed(path, files), well_formed(path, files, False):
+            argvs.append(argv)
+            got = cli._build_parser(argv).parse_args(argv)
+            want = oracles.parser_by_hand(argv).parse_args(argv)
+            assert vars(got) == vars(want), argv
+            assert got.echo == " ".join(path), argv
+    for argv in argvs:
+        got = cli_texts(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", oracles.parser_by_hand)
+            assert cli_texts(argv) == got, argv
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = []
+    for row in readme.splitlines():
+        if row.startswith("| `"):
+            words = row[3:row.index("`", 3)].split()
+            subcommands = [None]
+            if len(words) > 1 and words[1][0] not in "[-":
+                subcommands = words[1].split("\\|")
+            named += [" ".join(filter(None, (words[0], s))) for s in subcommands]
+    assert sorted(named) == sorted(" ".join(path) for path in paths)
 
 
 def test_branch_budget_env(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from clog import syntax
+from clog import proofs, syntax
 from clog.proofs import (
     ProofLine,
     check_proof,
@@ -200,6 +200,40 @@ def test_eliminate_half_trivial_and_collisions():
     assert list(r.fresh) == ["Q2"]  # Q0 and Q1 are taken by the input
     with pytest.raises(TypeError):
         eliminate_half([], syntax.parse_lformula("inf x. P(x)"))
+
+
+def test_one_pass_elimination_matches_the_steps():
+    """eliminate_half against oracles.eliminate_half_by_steps, the loop it
+    replaced, on random premises and goals that share subformulas and hold
+    atoms named like the fresh ones: the same texts, in the same order."""
+    rng = random.Random(91)
+    halves = 0
+    for _ in range(400):
+        names = rng.sample(["p", "q", "Q0", "Q2"], 3)
+        pool = [oracles.random_core_formula(rng, 4, names) for _ in range(3)]
+        sigma = [rng.choice([f, Monus(f, rng.choice(pool))])
+                 for f in rng.sample(pool, rng.randint(0, 3))]
+        goal = rng.choice(pool + [syntax.Half(rng.choice(pool))])
+        got = eliminate_half(sigma, goal)
+        want = oracles.eliminate_half_by_steps(sigma, goal)
+        assert [P(f) for f in got.premises] == [P(f) for f in want.premises]
+        assert P(got.goal) == P(want.goal)
+        assert {k: P(f) for k, f in got.fresh.items()} == {
+            k: P(f) for k, f in want.fresh.items()}
+        assert list(got.fresh) == list(want.fresh)
+        halves += len(got.fresh)
+    assert halves > 400
+
+
+def test_the_printed_lengths_are_the_printed_texts_lengths():
+    """find_proof picks its pool by the lengths one fold gives: they are
+    those of print_formula, on every subformula of random formulas."""
+    rng = random.Random(92)
+    for _ in range(200):
+        f = oracles.random_core_formula(rng, 6, ["p", "q2", "long_name"])
+        nodes, pos = syntax.subformulas(f)
+        lengths = syntax.fold(nodes, pos, proofs._PRINTED_LENGTH)
+        assert lengths == [len(P(g)) for g in nodes]
 
 
 def test_eliminate_half_preserves_entailment():

@@ -87,11 +87,12 @@ def test_branch_cells_cover_box_and_agree_with_eval():
             covering = [
                 c
                 for c in cells
-                if all(a.evaluate(env) >= 0 for a in c.constraints)
+                if all(oracles.FractionAffine.of(a).evaluate(env) >= 0
+                       for a in c.constraints)
             ]
             assert covering, "assignment not covered by any branch cell"
             for c in covering:
-                assert c.value.evaluate(env) == v
+                assert oracles.FractionAffine.of(c.value).evaluate(env) == v
 
 
 def test_branch_cell_shapes():
