@@ -48,7 +48,7 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
-from .rationals import ZERO, ONE, rat
+from .rationals import ZERO, rat
 from .simplex import OPTIMAL, POSITIVE, solve_lp
 
 _new = object.__new__
@@ -214,9 +214,8 @@ class CellEnumerator:
 
     def __init__(self, variables):
         self.variables = list(variables)
-        center = rat(1, 2)
-        self._center = {v: center for v in self.variables}
-        self._icenter = _integer_point(self._center)
+        self._center = dict.fromkeys(self.variables, rat(1, 2))
+        self._icenter = (dict.fromkeys(self.variables, 1), 2)
 
     # ---- feasibility ----------------------------------------------------
 
@@ -233,28 +232,30 @@ class CellEnumerator:
 
     def feasible_point(self, constraints):
         """A point of the cell (plus unit box), or None."""
-        # cheap single-variable interval screen before the LP
-        lo = {v: ZERO for v in self.variables}
-        hi = {v: ONE for v in self.variables}
-        ok = True
-        for (ints, const), aff in constraints.items():
+        # cheap single-variable interval screen before the LP, on the keys:
+        # each bound is (numerator, positive denominator), compared crosswise
+        lo = dict.fromkeys(self.variables, (0, 1))
+        hi = dict.fromkeys(self.variables, (1, 1))
+        for ints, const in constraints:
             if len(ints) == 1:
-                (v, c) = ints[0]
-                bound = rat(-const, c)
-                if c > 0:
-                    lo[v] = max(lo[v], bound)
-                else:
-                    hi[v] = min(hi[v], bound)
+                ((v, c),) = ints
+                if c > 0 and -const * lo[v][1] > lo[v][0] * c:  # v >= -const/c
+                    lo[v] = (-const, c)
+                elif c < 0 and const * hi[v][1] < hi[v][0] * -c:  # v <= const/-c
+                    hi[v] = (const, -c)
             elif not ints and const < 0:
-                ok = False
-        if ok and any(lo[v] > hi[v] for v in self.variables):
-            ok = False
-        if not ok:
-            return None
-        mid = {v: (lo[v] + hi[v]) / 2 for v in self.variables}
-        imid = _integer_point(mid)
+                return None
+        # the midpoint of each interval, n/q, and in integers over their lcm
+        mids = {}
+        for v in self.variables:
+            (a, b), (c, d) = lo[v], hi[v]
+            if a * d > c * b:
+                return None
+            mids[v] = (a * d + c * b, 2 * b * d)
+        den = math.lcm(*[q for _, q in mids.values()])
+        imid = {v: n * (den // q) for v, (n, q) in mids.items()}, den
         if all(aff.at(imid) >= 0 for aff in constraints.values()):
-            return mid
+            return {v: Fraction(n, q) for v, (n, q) in mids.items()}
         res = solve_lp(len(self.variables), self._lp_rows(constraints))
         return dict(zip(self.variables, res.point)) if res.status == OPTIMAL else None
 

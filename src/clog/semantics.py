@@ -9,9 +9,12 @@ cells of the formula(s) and optimizing with a rational LP on each
 
 Each entry point traverses its formulas once, with syntax.subformulas, and
 reads the budget count, atom order, grid sweep and cell IR off that result.
-is_valid also abstracts repeated subformulas away and traverses the
-resulting skeleton once more.  One cell search serves every decision, and
-gives an entailment's verdict, countermodel and witness m at once.
+When a subtraction repeats, is_valid first searches an abstraction with
+each repeated subtraction hidden behind a fresh atom, its cell IR built
+from the same positions; only if that is not valid does it sweep the grid
+and search the formula's own cells.  One cell search serves every
+decision, and gives an entailment's verdict, countermodel and witness m at
+once.
 
 Conventions: an assignment maps atom names to rationals in [0,1]; a formula
 is valid iff its value is 0 under every assignment; a set of formulas entails
@@ -67,8 +70,9 @@ def _check_budget(nodes, budget):
 
 
 def _traverse(formulas, budget=None):
-    """The one traversal of a decision call: subformulas(*formulas) as
-    (nodes, pos), and the sorted atom names, after the budget check."""
+    """The one traversal of a decision call other than is_valid:
+    subformulas(*formulas) as (nodes, pos), and the sorted atom names,
+    after the budget check."""
     nodes, pos = syntax.subformulas(*formulas)
     _check_budget(nodes, budget)
     return nodes, pos, sorted({f.name for f in nodes if type(f) is syntax.Atom})
@@ -89,42 +93,86 @@ def _ir(nodes, pos):
     })
 
 
-def _abstract_shared(formula, nodes, pos, atoms):
-    """The formula with every repeated subtraction subformula replaced by a
-    fresh atom (the same atom at all its occurrences), or None if no
-    subtraction repeats; nodes, pos and atoms come from _traverse.
-
-    Validity of the result implies validity of the input: under any
-    assignment of the original atoms, giving each fresh atom the value of
-    the subformula it stands for (a value in [0,1]) makes both formulas
-    evaluate alike.  That needs the fresh atoms to be new: they are named
-    #0, #1, ..., skipping the formula's own atom names.  The converse fails,
-    so a non-valid result says nothing.  Only subtraction nodes are
-    replaced; neg and half are affine and contribute no branching worth
-    hiding.
-    """
-    occ = [0] * len(nodes)  # occurrences in the formula's tree
+def _occurrences(nodes, pos):
+    """is_valid's pass over subformulas(formula), parents first: the sorted
+    atom names; how often each position occurs in the formula's tree; and
+    whether the formula is propositional and some subtraction occurs twice
+    or more, so that _skeleton hides something."""
+    occ = [0] * len(nodes)
     occ[-1] = 1
-    for p in range(len(nodes) - 1, -1, -1):  # parents before children
+    names = set()
+    shared, propositional = False, True
+    for p in range(len(nodes) - 1, -1, -1):
         f, n = nodes[p], occ[p]
         t = type(f)
-        if t is syntax.Neg or t is syntax.Half:
-            occ[pos[id(f.body)]] += n
-        elif t is syntax.Monus:
+        if t is syntax.Monus:
+            shared |= n > 1
             occ[pos[id(f.left)]] += n
             occ[pos[id(f.right)]] += n
-    if all(occ[p] < 2 for p, f in enumerate(nodes) if type(f) is syntax.Monus):
-        return None
+        elif t is syntax.Neg or t is syntax.Half:
+            occ[pos[id(f.body)]] += n
+        elif t is syntax.Atom:
+            names.add(f.name)
+        elif t is not syntax.Const0:  # the grid sweep raises the TypeError
+            propositional = False
+    return sorted(names), occ, shared and propositional
+
+
+def _skeleton(nodes, pos, atoms, occ):
+    """(sorted atom names, cell IR) of the formula's abstraction, in which
+    each subtraction occurring twice or more (occ, from _occurrences) is one
+    fresh atom; nodes, pos and atoms as _occurrences reads them.
+
+    Validity of the abstraction implies validity of the formula: giving each
+    fresh atom the value of the subtraction it hides (a value in [0,1])
+    makes both evaluate alike.  That needs the fresh atoms to be new: they
+    are #0, #1, ..., skipping the formula's own atom names.  The converse
+    fails.  Neg and half are affine, so hiding them would gain nothing.
+
+    The IR is the one entailment([], abstraction) builds from the
+    abstraction written as a formula: fresh atoms are named outermost first,
+    left to right, nodes come children first, left to right, and a position
+    that occurs only under a hidden subtraction has none.
+    """
+    from .branches import Affine, PLComb, PLMonus
+
     taken = set(atoms)
     fresh = (name for name in map("#{}".format, itertools.count())
              if name not in taken)
-
-    def swap(f, p):
-        if type(f) is syntax.Monus and occ[p] >= 2:
-            return syntax.Atom(next(fresh))
-        return None
-
-    return syntax.rebuild([formula], pos, swap)[0]
+    at = [None] * len(nodes)  # each reached position's node in the IR
+    ir, names = [], []
+    stack = [len(nodes) - 1]  # p to reach position p, ~p once its children are
+    while stack:
+        p = stack.pop()
+        if p < 0:
+            f = nodes[~p]
+            t = type(f)
+            if t is syntax.Monus:
+                node = PLMonus(at[pos[id(f.left)]], at[pos[id(f.right)]])
+            elif t is syntax.Neg:
+                node = PLComb([(-1, at[pos[id(f.body)]])], ONE)
+            else:
+                node = PLComb([(HALF, at[pos[id(f.body)]])], ZERO)
+            p = ~p
+        elif at[p] is not None:  # reached before
+            continue
+        else:
+            f = nodes[p]
+            t = type(f)
+            if t is syntax.Atom or t is syntax.Monus and occ[p] > 1:
+                name = f.name if t is syntax.Atom else next(fresh)
+                names.append(name)
+                node = Affine.variable(name)
+            elif t is syntax.Const0:
+                node = Affine.constant(0)
+            else:
+                at[p] = -1  # its children come first
+                stack += ((~p, pos[id(f.right)], pos[id(f.left)]) if t is syntax.Monus
+                          else (~p, pos[id(f.body)]))
+                continue
+        at[p] = len(ir)
+        ir.append(node)
+    return sorted(names), ir
 
 
 class BranchCell:
@@ -220,7 +268,16 @@ def is_valid(formula, budget=None):
     The counterexample assignment is exact and gives the formula a positive
     value (not necessarily the supremum).
     """
-    nodes, pos, atoms = _traverse([formula], budget)
+    nodes, pos = syntax.subformulas(formula)
+    _check_budget(nodes, budget)
+    atoms, occ, shared = _occurrences(nodes, pos)
+    # abstraction first: hiding repeated subtractions behind fresh atoms
+    # keeps the cell count tiny, and validity of the abstraction carries
+    # over, so a grid sweep could not have refuted the formula
+    if shared:
+        sk_atoms, ir = _skeleton(nodes, pos, atoms, occ)
+        if _search(sk_atoms, ir, [len(ir) - 1], None)[0] is None:
+            return True, None
     # integer grid pre-pass: a positive grid point is already an exact refutation
     try:
         value, point = grid_max((nodes, pos), atoms, denom=8, stop_at_positive=True)
@@ -228,11 +285,6 @@ def is_valid(formula, budget=None):
             return False, point
     except KernelUnsupported:
         pass
-    # abstraction pre-pass: hiding repeated subformulas behind fresh atoms
-    # keeps the cell count tiny, and validity of the abstraction carries over
-    skeleton = _abstract_shared(formula, nodes, pos, atoms)
-    if skeleton is not None and entailment([], skeleton)[0] is None:
-        return True, None
     point = _search(atoms, _ir(nodes, pos), [len(nodes) - 1], None)[0]
     return point is None, point
 

@@ -20,7 +20,9 @@ formulas with syntax's node classes and sugar and raises syntax.ParseError.
 The command-line judge, parser_by_hand, is the argparse parser written one
 block per command, each pointing at its clog.cli handler, and
 eliminate_half_by_steps rewrites with syntax's subformulas and rebuild and
-returns a clog.proofs.HalfElimResult.
+returns a clog.proofs.HalfElimResult.  abstract_shared_by_rebuild writes
+is_valid's abstraction as a formula, with syntax.rebuild, for
+semantics.entailment to traverse and search on its own.
 """
 
 import argparse
@@ -1198,3 +1200,37 @@ def eliminate_half_by_steps(sigma, goal):
         companions.append(syntax.monus_chain(body, 2, q))
         companions.append(syntax.Monus(q, syntax.Monus(body, q)))
     return proofs.HalfElimResult(formulas[:-1] + companions, formulas[-1], fresh)
+
+
+def abstract_shared_by_rebuild(formula, nodes, pos, atoms):
+    """The formula with every repeated subtraction subformula replaced by a
+    fresh atom (the same atom at all its occurrences), or None if no
+    subtraction repeats; nodes and pos come from syntax.subformulas(formula)
+    and atoms are its sorted atom names.
+
+    The fresh atoms are named #0, #1, ..., skipping the formula's own atom
+    names, in syntax.rebuild's order: outermost first, left to right.  Only
+    subtraction nodes are replaced; neg and half are affine.
+    """
+    occ = [0] * len(nodes)  # occurrences in the formula's tree
+    occ[-1] = 1
+    for p in range(len(nodes) - 1, -1, -1):  # parents before children
+        f, n = nodes[p], occ[p]
+        t = type(f)
+        if t is syntax.Neg or t is syntax.Half:
+            occ[pos[id(f.body)]] += n
+        elif t is syntax.Monus:
+            occ[pos[id(f.left)]] += n
+            occ[pos[id(f.right)]] += n
+    if all(occ[p] < 2 for p, f in enumerate(nodes) if type(f) is syntax.Monus):
+        return None
+    taken = set(atoms)
+    fresh = (name for name in map("#{}".format, itertools.count())
+             if name not in taken)
+
+    def swap(f, p):
+        if type(f) is syntax.Monus and occ[p] >= 2:
+            return syntax.Atom(next(fresh))
+        return None
+
+    return syntax.rebuild([formula], pos, swap)[0]

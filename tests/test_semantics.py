@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from clog import branches, semantics, syntax
+from clog import branches, proofs, semantics, syntax
 from clog.kernel import KernelUnsupported, grid_max
 from clog.rationals import format_rat
 from clog.semantics import (
@@ -388,6 +388,53 @@ def test_the_decisions_are_byte_stable():
     assert digest == DECISIONS_DIGEST
 
 
+def shared_axiom_instances(rng, count):
+    """count seeded instances of A1-A6 whose subtractions repeat.  Each
+    scheme's metavariables take formulas from a pool of two, g and h; half
+    the time h is a subtraction with g on one side, so substitutions repeat
+    and nest.  A random pool formula is drawn again until it is positive at
+    a point of the 1/2 grid, so that fewer instances hold trivially, and an
+    instance in which no subtraction occurs twice is drawn again."""
+    schemes = sorted(proofs.AXIOM_SCHEMES)
+    instances = []
+    while len(instances) < count:
+        atoms = ["p%d" % i for i in range(rng.randint(2, 4))]
+        pool = []
+        while len(pool) < 2:
+            g = oracles.random_core_formula(rng, 3, atoms, monus_cap=4)
+            if not oracles.grid_valid(g, 2):
+                pool.append(g)
+        g, h = pool
+        if rng.random() < 0.5:
+            pool[1] = syntax.Monus(g, h) if rng.random() < 0.5 else syntax.Monus(h, g)
+        subst = {v: rng.choice(pool) for v in ("phi", "psi", "rho")}
+        f = proofs.instantiate_axiom(rng.choice(schemes), subst)
+        if oracles.abstract_shared_by_rebuild(f, *semantics._traverse([f])):
+            instances.append(f)
+    return instances
+
+
+# recorded before is_valid searched the abstraction ahead of the grid
+AXIOM_DECISIONS_DIGEST = "0afbc79a25f299379d456739d9c273e3f5153393933fa26c34b8a05c3e59a7ff"
+
+
+def test_the_axiom_decisions_are_byte_stable():
+    """is_valid on 400 seeded axiom instances whose subtractions repeat,
+    and on each with its goal and premise (the two sides of its top
+    subtraction) swapped, hashed: an answer or a refutation that moves
+    changes the digest.  Swapped, A1 and A2 instances may fail; A3 and A4
+    stay valid, and A5 and A6 become each other."""
+    rng = random.Random(28)
+    lines = []
+    for f in shared_axiom_instances(rng, 400):
+        for g in (f, syntax.Monus(f.right, f.left)):
+            valid, point = is_valid(g)
+            lines.append("%d %s" % (valid, shown(point)))
+    assert sum(line.startswith("0") for line in lines) > 40
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == AXIOM_DECISIONS_DIGEST
+
+
 def test_budget_enforcement():
     f = monus_chain(Atom("p"), 5, Atom("q"))
     with pytest.raises(BudgetExceeded):
@@ -435,16 +482,87 @@ def count_traversals(monkeypatch):
     return calls
 
 
-def test_is_valid_traverses_formula_and_skeleton_once(monkeypatch):
+def test_is_valid_traverses_the_formula_once(monkeypatch):
     # an A2 instance with phi = (p - q): phi repeats, so the abstraction
-    # pre-pass hides it behind a fresh atom, and the skeleton is valid
+    # hides it behind a fresh atom, and the abstraction is valid
     f = F("(((s - (p - q)) - (s - r)) - (r - (p - q)))")
     calls = count_traversals(monkeypatch)
     assert is_valid(f, budget=24) == (True, None)
-    # the formula once, for the budget, the grid sweep and the cells, and
-    # its skeleton once
-    assert len(calls) == 2
-    assert calls[0] == (f,)
+    # the formula once, for the budget, the abstraction, the grid sweep and
+    # the cells; the abstraction is built from the same positions
+    assert calls == [(f,)]
+
+
+def test_the_abstraction_is_searched_before_the_grid(monkeypatch):
+    """A formula in which a subtraction repeats has its abstraction
+    searched first, and is swept only if the abstraction is not valid; any
+    other formula is swept first."""
+    events = []
+    grid, search = semantics.grid_max, semantics._search
+
+    def counted_grid(*args, **kwargs):
+        events.append("grid")
+        return grid(*args, **kwargs)
+
+    def counted_search(*args):
+        events.append("search")
+        return search(*args)
+
+    monkeypatch.setattr(semantics, "grid_max", counted_grid)
+    monkeypatch.setattr(semantics, "_search", counted_search)
+    cases = [
+        # the A2 instance above: its abstraction is valid, so no sweep
+        ("(((s - (p - q)) - (s - r)) - (r - (p - q)))", True, ["search"]),
+        # nothing repeats: the sweep refutes, or the cells decide after it
+        ("(p - q)", False, ["grid"]),
+        ("((p - q) - p)", True, ["grid", "search"]),
+        # (#0 - neg #0) is not valid, and the sweep refutes the formula
+        ("((p - q) - neg (p - q))", False, ["search", "grid"]),
+    ]
+    for text, valid, want in cases:
+        events.clear()
+        assert is_valid(F(text))[0] is valid
+        assert events == want, text
+
+
+def test_the_abstraction_is_the_rebuilt_formulas(monkeypatch):
+    """_skeleton builds is_valid's abstraction from the formula's own
+    positions; its judge, oracles.abstract_shared_by_rebuild, writes it as
+    a formula with syntax.rebuild for entailment to traverse and search.
+    On 600 seeded formulas whose subtractions repeat (axiom instances and
+    random formulas), the atom names, the search's answer and every
+    solve_lp call must be the same."""
+    rng = random.Random(2028)
+    formulas = shared_axiom_instances(rng, 400)
+    while len(formulas) < 600:
+        atoms = ["p%d" % i for i in range(rng.randint(1, 3))]
+        f = oracles.random_core_formula(rng, 6, atoms, monus_cap=8)
+        if oracles.abstract_shared_by_rebuild(f, *semantics._traverse([f])):
+            formulas.append(f)
+    lps = []
+    solve_lp = branches.solve_lp
+
+    def recorded(*args, **kwargs):
+        lps.append((args, kwargs))
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(branches, "solve_lp", recorded)
+    answers = set()
+    for f in formulas:
+        nodes, pos = syntax.subformulas(f)
+        atoms, occ, shared = semantics._occurrences(nodes, pos)
+        assert shared
+        judge = oracles.abstract_shared_by_rebuild(f, nodes, pos, atoms)
+        names, ir = semantics._skeleton(nodes, pos, atoms, occ)
+        assert names == syntax.atom_names(judge)
+        lps.clear()
+        got = semantics._search(names, ir, [len(ir) - 1], None)
+        got_lps = list(lps)
+        lps.clear()
+        assert got == entailment([], judge)
+        assert got_lps == lps
+        answers.add(got[0] is None)
+    assert answers == {True, False}
 
 
 def test_abstraction_atoms_are_fresh():
@@ -464,15 +582,19 @@ def test_abstraction_atoms_are_fresh():
 
 
 def test_entails_rejects_nonpropositional_premises():
-    # syntax.fold refuses a first-order node wherever it sits, so every
-    # entry point refuses a first-order premise or goal without a check of
-    # its own
+    # syntax.fold and the grid sweep refuse a first-order node wherever it
+    # sits, so every entry point refuses a first-order premise or goal
+    # without a check of its own; is_valid does not search the abstraction
+    # of a first-order formula, where a hidden subtraction could hide the
+    # first-order node
     from clog.syntax import parse_lformula
 
     p = F("p")
     for fo in (parse_lformula("inf x. 0"), parse_lformula("P(x)")):
+        hidden = syntax.Monus(fo, p)
         for call in [
             lambda: is_valid(fo),
+            lambda: is_valid(syntax.Monus(hidden, syntax.Monus(fo, p))),
             lambda: sup_value(fo),
             lambda: is_satisfiable([p, fo]),
             lambda: entails_semantic([fo], p),
