@@ -62,9 +62,10 @@ LIMITS = {
     # randomisation.table_sizes, checked before any table is built: for
     # `los` the section route's sum of |sections|^k and the pointwise sum of
     # |U_i|^k, for `eval`, `inf-witness` and `type-measure` the pointwise
-    # one.  On 2 vCPUs the section route took 0.6 s and 51 MB at 196,609
-    # cells (16 atoms of 2 elements), 0.9 s and 59 MB at 177,148 (11 of 3),
-    # and 3.3 s and 195 MB at 531,442 (12 of 3)
+    # one.  On 2 vCPUs the section route, its tables flat int lists, took
+    # 0.3-0.4 s and 53 MB at 196,609 cells (inf q . (P(q) - d(q, x)) on 16
+    # atoms of 2 elements), 0.4 s and 57 MB at 177,148 (inf q . d(q, x) on
+    # 11 of 3), and 1.0-1.5 s and 150 MB at 531,442 (the same on 12 of 3)
     "rand cells": (
         250_000, "a subformula's table has a cell per value of its free variables",
         "a formula's tables may hold at most %d cells (%s)"),

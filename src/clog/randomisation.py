@@ -5,8 +5,10 @@ probability space.  Formulas over the family evaluate to random variables:
 the bracket of a formula at an atom is its value in that atom's structure,
 with the quantifiers ranging over the (finite) universe.  The module also
 provides the inductive semantics where quantifiers range over whole
-sections, gluing of sections along events, exact checks of the R axioms,
-the expectation form of the Los theorem, and finite-support type measures.
+sections (each subformula's table one flat list of ints, its keys' value
+vectors end to end), gluing of sections along events, exact checks of the
+R axioms, the expectation form of the Los theorem, and finite-support type
+measures.
 """
 
 import collections
@@ -466,16 +468,22 @@ def bracket_by_sections(phi, env, family, positions=None):
     of its body's value vectors over every section of the family; no
     quantifier is split into per-atom extrema.  One pass over phi's
     positions, children first, gives each a table of value vectors, its free
-    variables ranging over section value tuples.  Values are integers over
-    one family scale S = L * 2^h, where L is the lcm of the denominators in
-    the tables the formula reads (every atom's, whole) and h the number of
-    `half` subformulas: `neg` is S - v, `half` an exact halving, and the
-    result is rat(v, S).  Nothing outlives the call.  A subformula costs
-    |sections|^(its free variables).  `positions` is _positions' result
-    when the caller has it already.
+    variables ranging over section value tuples.  A table is one flat list
+    of ints, n per key for n atoms: key r's vector is t[r*n:(r+1)*n].  So
+    `neg`, `half` and `-` are each one comprehension over whole lists (a
+    one-vector side of `-` repeated, a side with fewer keys than the
+    result gathered row by row through _rows), and a quantifier takes
+    min/max over the strided slices t[a*n+j:b*n:c*n] of its blocks, one
+    per atom j.  Values are integers over one family scale S = L * 2^h,
+    where L is the lcm of the denominators in the tables the formula reads
+    (every atom's, whole) and h the number of `half` subformulas: `neg` is
+    S - v, `half` an exact halving, and the result is rat(v, S).  Nothing
+    outlives the call.  A subformula costs |sections|^(its free variables).
+    `positions` is _positions' result when the caller has it already.
     """
     nodes, pos, names, ranging = positions or _positions(phi, env, family)
     structures = family.structures
+    n = len(structures)
     exact = {f.name: [s.metric if f.name == METRIC_SYMBOL else s.predicates[f.name]
                       for s in structures]
              for f in nodes if type(f) is Pred}
@@ -488,55 +496,63 @@ def bracket_by_sections(phi, env, family, positions=None):
     keyed_on = ranging.intersection(itertools.chain(*names))
     if keyed_on:  # every section, listed only when some table keys on one
         domain.update(dict.fromkeys(keyed_on, _section_vectors(family)))
-    tables = []  # per position, its value vectors
+    tables = []  # per position, its value vectors end to end
     for p, f in enumerate(nodes):
         t = type(f)
         keyed = names[p]
         if t is Pred:
             lookups, args = scaled[f.name], f.args
             if not args or Apply in map(type, args):  # bind the key, read the terms
-                out = [tuple(map(dict.__getitem__, lookups,
-                                 _per_atom(args, dict(zip(keyed, key)), structures)))
-                       for key in _keys(keyed, domain)]
+                out = [v for key in _keys(keyed, domain) for v in map(
+                    dict.__getitem__, lookups,
+                    _per_atom(args, dict(zip(keyed, key)), structures))]
             elif ranging.isdisjoint(keyed):  # one key: the sections' values
-                out = [tuple(map(dict.__getitem__, lookups,
-                                 zip(*[env[a.name].values for a in args])))]
+                out = list(map(dict.__getitem__, lookups,
+                               zip(*[env[a.name].values for a in args])))
             else:  # a key holds a value tuple per variable: zipped, the lookups
+                keys = _keys(keyed, domain)
                 slots = [keyed.index(a.name) for a in args]
-                out = [tuple(map(dict.__getitem__, lookups,
-                                 zip(*[key[j] for j in slots])))
-                       for key in _keys(keyed, domain)]
+                if slots != list(range(len(keyed))):  # d(x, x), d(y, x)
+                    keys = map(operator.itemgetter(*slots), keys)
+                out = [v for key in keys for v in map(
+                    dict.__getitem__, lookups, zip(*key))]
         elif t is Const0:
-            out = [(0,) * len(structures)]
+            out = [0] * n
         elif t is Neg:
-            out = [tuple([scale - v for v in vec]) for vec in tables[pos[id(f.body)]]]
+            out = [scale - v for v in tables[pos[id(f.body)]]]
         elif t is Half:
-            out = [tuple([v >> 1 for v in vec]) for vec in tables[pos[id(f.body)]]]
+            out = [v >> 1 for v in tables[pos[id(f.body)]]]
         elif t is Monus:
             left, right = pos[id(f.left)], pos[id(f.right)]
             lt, rt = tables[left], tables[right]
-            if len(lt) == 1:  # one vector meets every vector of the other side
-                lt = lt * len(rt)
-            elif len(rt) == 1:
-                rt = rt * len(lt)
-            elif names[left] != names[right]:
-                lt = [lt[i] for i in _rows(keyed, names[left], domain)]
-                rt = [rt[j] for j in _rows(keyed, names[right], domain)]
-            out = [tuple([a - b if a > b else 0 for a, b in zip(u, w)])
-                   for u, w in zip(lt, rt)]
+            if len(lt) == n:  # one vector meets every vector of the other side
+                lt = lt * (len(rt) // n)
+            elif len(rt) == n:
+                rt = rt * (len(lt) // n)
+            elif names[left] != names[right]:  # a side with fewer keys is re-indexed
+                size = n * math.prod(len(domain[v]) for v in keyed)
+                if len(lt) < size:
+                    lt = [v for r in _rows(keyed, names[left], domain)
+                          for v in lt[r * n:r * n + n]]
+                if len(rt) < size:
+                    rt = [v for r in _rows(keyed, names[right], domain)
+                          for v in rt[r * n:r * n + n]]
+            out = [a - b if a > b else 0 for a, b in zip(lt, rt)]
         else:  # Inf or Sup: over every section, componentwise
             body = pos[id(f.body)]
             out = tables[body]  # a body free of the variable is constant
             if f.var in names[body]:
                 pick = min if t is Inf else max
-                out = [tuple(map(pick, zip(*tables[body][a:b:c])))
-                       for a, b, c in _blocks(names[body], f.var, domain)]
+                out = [pick(out[a * n + j:b * n:c * n])
+                       for a, b, c in _blocks(names[body], f.var, domain)
+                       for j in range(n)]
         tables.append(out)
     root = 0
-    if len(tables[-1]) > 1:
+    if len(tables[-1]) > n:
         root = list(_keys(names[-1], domain)).index(
-            tuple(env[v].values for v in names[-1]))
-    return RandomVariable(family.space, [rat(v, scale) for v in tables[-1][root]])
+            tuple(env[v].values for v in names[-1])) * n
+    return RandomVariable(family.space,
+                          [rat(v, scale) for v in tables[-1][root:root + n]])
 
 
 def distance(a, b, family):

@@ -39,8 +39,9 @@ def parse_rat(text):
 
 
 def format_rat(x):
-    """Canonical 'p/q' form, reduced, denominator always explicit."""
-    f = Fraction(x)
+    """Canonical 'p/q' form, reduced, denominator always explicit; a float
+    raises TypeError, as in rat."""
+    f = rat(x)
     return "%d/%d" % (f.numerator, f.denominator)
 
 

@@ -23,6 +23,8 @@ eliminate_half_by_steps rewrites with syntax's subformulas and rebuild and
 returns a clog.proofs.HalfElimResult.  abstract_shared_by_rebuild writes
 is_valid's abstraction as a formula, with syntax.rebuild, for
 semantics.entailment to traverse and search on its own.
+bracket_by_sections_by_rows is the section route with a value tuple per key,
+on clog.randomisation's own key-order helpers.
 """
 
 import argparse
@@ -670,6 +672,84 @@ def pointwise_fractions(phi, env, family, ranging=frozenset()):
             tables.append(table)
         roots.append(tables[-1])
     return names[-1], roots
+
+
+# --- the section route as it stood with a tuple per key ------------------------
+
+
+def bracket_by_sections_by_rows(phi, env, family):
+    """randomisation.bracket_by_sections as it stood before its tables went
+    flat: a table is a list with one value tuple per key, so every connective
+    builds a tuple per row and a quantifier zips its block's rows.  It reads
+    the package's _positions, _keys, _rows, _blocks, _per_atom and
+    _section_vectors, so it judges the flat layout's offset arithmetic, not
+    the key order."""
+    from clog import randomisation as rd
+    from clog.rv import RandomVariable
+
+    nodes, pos, names, ranging = rd._positions(phi, env, family)
+    structures = family.structures
+    exact = {f.name: [s.metric if f.name == syntax.METRIC_SYMBOL
+                      else s.predicates[f.name] for s in structures]
+             for f in nodes if type(f) is syntax.Pred}
+    denominators = {v.denominator for ts in exact.values() for t in ts
+                    for v in t.values()}
+    scale = math.lcm(*denominators) << sum(type(f) is syntax.Half for f in nodes)
+    scaled = {name: [{k: v.numerator * (scale // v.denominator) for k, v in t.items()}
+                     for t in ts] for name, ts in exact.items()}
+    domain = {name: [sec.values] for name, sec in env.items()}
+    keyed_on = ranging.intersection(itertools.chain(*names))
+    if keyed_on:
+        domain.update(dict.fromkeys(keyed_on, rd._section_vectors(family)))
+    tables = []
+    for p, f in enumerate(nodes):
+        t = type(f)
+        keyed = names[p]
+        if t is syntax.Pred:
+            lookups, args = scaled[f.name], f.args
+            if not args or syntax.Apply in map(type, args):
+                out = [tuple(map(dict.__getitem__, lookups,
+                                 rd._per_atom(args, dict(zip(keyed, key)), structures)))
+                       for key in rd._keys(keyed, domain)]
+            elif ranging.isdisjoint(keyed):
+                out = [tuple(map(dict.__getitem__, lookups,
+                                 zip(*[env[a.name].values for a in args])))]
+            else:
+                slots = [keyed.index(a.name) for a in args]
+                out = [tuple(map(dict.__getitem__, lookups,
+                                 zip(*[key[j] for j in slots])))
+                       for key in rd._keys(keyed, domain)]
+        elif t is syntax.Const0:
+            out = [(0,) * len(structures)]
+        elif t is syntax.Neg:
+            out = [tuple([scale - v for v in vec]) for vec in tables[pos[id(f.body)]]]
+        elif t is syntax.Half:
+            out = [tuple([v >> 1 for v in vec]) for vec in tables[pos[id(f.body)]]]
+        elif t is syntax.Monus:
+            left, right = pos[id(f.left)], pos[id(f.right)]
+            lt, rt = tables[left], tables[right]
+            if len(lt) == 1:
+                lt = lt * len(rt)
+            elif len(rt) == 1:
+                rt = rt * len(lt)
+            elif names[left] != names[right]:
+                lt = [lt[i] for i in rd._rows(keyed, names[left], domain)]
+                rt = [rt[j] for j in rd._rows(keyed, names[right], domain)]
+            out = [tuple([a - b if a > b else 0 for a, b in zip(u, w)])
+                   for u, w in zip(lt, rt)]
+        else:
+            body = pos[id(f.body)]
+            out = tables[body]
+            if f.var in names[body]:
+                pick = min if t is syntax.Inf else max
+                out = [tuple(map(pick, zip(*tables[body][a:b:c])))
+                       for a, b, c in rd._blocks(names[body], f.var, domain)]
+        tables.append(out)
+    root = 0
+    if len(tables[-1]) > 1:
+        root = list(rd._keys(names[-1], domain)).index(
+            tuple(env[v].values for v in names[-1]))
+    return RandomVariable(family.space, [rat(v, scale) for v in tables[-1][root]])
 
 
 # --- the structure load check as it stood on Fractions -----------------------

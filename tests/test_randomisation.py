@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import time
 
@@ -502,15 +503,16 @@ FUNC_SIG = Signature(functions={"f": [rat(2)], "c": []},
                      predicates={"P": [rat(1)], "Q": [], "R": [rat(1), rat(1)]})
 
 
-def oracle_family(rng):
-    """A family over FUNC_SIG: 1-3 atoms, universes of 1-3 points on a grid
-    of ninths (so metric denominators are not dyadic), P the largest
-    1-Lipschitz function below random rationals, R(u, v) the mean of two
-    such functions at u and at v (so R is not symmetric), Q a random
-    rational, f the identity or a constant map, and c a random point."""
+def oracle_family(rng, sizes=None):
+    """A family over FUNC_SIG: 1-3 atoms, universes of 1-3 points (or one
+    atom per entry of sizes, of that many points) on a grid of ninths (so
+    metric denominators are not dyadic), P the largest 1-Lipschitz function
+    below random rationals, R(u, v) the mean of two such functions at u and
+    at v (so R is not symmetric), Q a random rational, f the identity or a
+    constant map, and c a random point."""
     structures = []
-    for _ in range(rng.randint(1, 3)):
-        ids = ["e%d" % i for i in range(rng.randint(1, 3))]
+    for size in sizes or (rng.randint(1, 3) for _ in range(rng.randint(1, 3))):
+        ids = ["e%d" % i for i in range(size)]
         metric = line_metric(rng.sample([rat(k, 9) for k in range(10)], len(ids)))
         p, r1, r2 = (lipschitz_repair({u: oracles.random_rational(rng) for u in ids},
                                       metric, ids, 1) for _ in range(3))
@@ -597,6 +599,119 @@ def test_routes_match_the_fraction_oracle():
             seen[feature] += mark in text
         seen["one point"] += any(len(s.universe) == 1 for s in fam.structures)
     assert min(seen.values()) >= 50, seen
+
+
+def wide_family(rng):
+    """oracle_family on 1-6 atoms of 1-4 points, at most 64 sections; one
+    draw in five has exactly 64 (4*4*4, 2^6, 4*2*2*4, ...)."""
+    if rng.random() < 0.2:
+        sizes = rng.choice(
+            [[4, 4, 4], [2] * 6, [4, 2, 2, 4], [2, 4, 2, 4], [4, 4, 2, 2]])
+    else:
+        sizes = [4] * 4
+        while math.prod(sizes) > 64:
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 6))]
+    return oracle_family(rng, sizes)
+
+
+def keyed_formula(rng, max_depth):
+    """A formula over FUNC_SIG with x, y free and two quantifiers, each on a
+    variable u, v, w or one already in scope (so `inf q . sup q .` and
+    `sup x . ... x` occur), its leaves mostly on bound variables: the
+    section route's tables key on up to two of them."""
+    def term(scope):
+        roll = rng.random()
+        if roll < 0.1:
+            return Apply("c", ())
+        if roll < 0.25:
+            return Apply("f", (term(scope),))
+        return Var(rng.choice(scope))
+
+    def gen(scope, depth, quants):
+        if depth == 0 or rng.random() < 0.15:
+            roll = rng.random()
+            if roll < 0.05:
+                return Const0(), quants
+            if roll < 0.1:
+                return Pred("Q", ()), quants
+            if roll < 0.35:
+                return Pred("P", (term(scope),)), quants
+            return Pred(rng.choice("dR"), (term(scope), term(scope))), quants
+        roll = rng.random()
+        if quants and roll < 0.45:
+            var = rng.choice(["u", "v", "w"] * 2 + scope)
+            body, quants = gen(scope + [var], depth - 1, quants - 1)
+            return (Inf if rng.random() < 0.5 else Sup)(var, body), quants
+        if roll < 0.6:
+            body, quants = gen(scope, depth - 1, quants)
+            return (Neg if rng.random() < 0.5 else Half)(body), quants
+        left, quants = gen(scope, depth - 1, quants)
+        right, quants = gen(scope, depth - 1, quants)
+        return Monus(left, right), quants
+
+    return gen(["x", "y"], max_depth, 2)[0]
+
+
+def section_route_branches(phi, env, fam):
+    """Which of the section route's branches phi's positions take."""
+    nodes, pos, names, ranging = rd._positions(phi, env, fam)
+    sections = math.prod(len(s.universe) for s in fam.structures)
+    rows = [sections ** sum(v in ranging for v in keyed) for keyed in names]
+    seen = set()
+    for p, f in enumerate(nodes):
+        keyed = names[p]
+        if type(f) is Pred and f.args:
+            if Apply in map(type, f.args):
+                seen.add("Apply")
+            elif ranging.isdisjoint(keyed):
+                seen.add("env only")
+            else:
+                slots = [keyed.index(a.name) for a in f.args]
+                if len(set(slots)) < len(slots):
+                    seen.add("one slot twice")
+                elif slots != sorted(slots):
+                    seen.add("reordered")
+        elif type(f) is Monus:
+            left, right = pos[id(f.left)], pos[id(f.right)]
+            if rows[left] == 1 < rows[right]:
+                seen.add("broadcast left")
+            elif rows[right] == 1 < rows[left]:
+                seen.add("broadcast right")
+            elif rows[left] > 1 and names[left] != names[right]:
+                short = min(rows[left], rows[right]) < rows[p]
+                seen.add("re-indexed" if short else "keys differ in fixed variables")
+        elif type(f) in (Inf, Sup) and f.var in names[pos[id(f.body)]]:
+            inner = [g for g in syntax.subformulas(f.body)[0] if type(g) in (Inf, Sup)]
+            if any(g.var == f.var for g in inner):
+                seen.add("nested, one variable")
+            if any(g.var != f.var for g in inner):
+                seen.add("nested, different variables")
+            others = ranging.intersection(names[pos[id(f.body)]]) - {f.var}
+            if not others:
+                seen.add("one block, one section per row")
+            elif min(others) > f.var:
+                seen.add("one block, strided")
+            else:
+                seen.add("a block per key over earlier variables")
+    if sections == 64 and max(rows) > 1:
+        seen.add("64 sections")
+    return seen
+
+
+def test_flat_sections_route_matches_the_row_tuple_judge():
+    """bracket_by_sections, one flat int list per position, gives the row
+    tuple route's random variable on 600 seeded families of up to 64
+    sections and formulas whose tables key on up to two sections."""
+    rng = random.Random(43)
+    seen = collections.Counter()
+    for _ in range(600):
+        fam = wide_family(rng)
+        env = {"x": random_section(rng, fam), "y": random_section(rng, fam)}
+        phi = keyed_formula(rng, max_depth=4)
+        assert rd.bracket_by_sections(phi, env, fam) == \
+            oracles.bracket_by_sections_by_rows(phi, env, fam), phi
+        seen.update(section_route_branches(phi, env, fam))
+    assert len(seen) == 14 and min(seen.values()) >= 10, seen
 
 
 def test_sections_are_listed_only_when_a_table_keys_on_them():

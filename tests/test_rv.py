@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from clog import rv, syntax
-from clog.rationals import rat
+from clog.rationals import format_rat, rat
 from clog.syntax import Atom, Half, Monus, Neg
 
 X, Y = Atom("x"), Atom("y")
@@ -383,6 +383,18 @@ def test_json_round_trips():
     assert blob == {"atoms": [{"id": "a", "w": "2/3"}, {"id": "b", "w": "1/3"}]}
     # denominators stay explicit, even for integers: byte-stable output
     assert rv.rv_to_json(x)["values"] == ["1/7", "1/1"]
+
+
+def test_format_rat_refuses_floats_as_rat_does():
+    """format_rat reads its argument with rat: a float raises TypeError
+    instead of printing its binary expansion as p/q."""
+    for x in (0.1, 0.5, 1.0):
+        with pytest.raises(TypeError, match="refusing float"):
+            rat(x)
+        with pytest.raises(TypeError, match="refusing float"):
+            format_rat(x)
+    assert [format_rat(x) for x in (rat(2, 4), 3, Fraction(-1, 3), "6/8")] == [
+        "1/2", "3/1", "-1/3", "3/4"]
 
 
 def test_json_errors():
